@@ -218,17 +218,18 @@ def solve_two_load(
     constraint face or at an interior maximum. On the reference arch the
     second rule ends the ascent from any of 16 random starts, at an
     interior point whose gradient norm (7e-7 to 1.4e-5, reported in
-    ``diagnostics``) is still above the default ``tol``.
+    ``diagnostics``) is still above the default ``tol``. Which rule fired
+    is ``diagnostics["stop"]``: ``"tol"`` or ``"stall"``.
     """
     y_cap = model.y_max * (1 - _EDGE_GUARD)
     y = _project_two(np.asarray(init, dtype=float), y_cap)
     s = step
     area = _area2(model, y[0], y[1])
-    converged = False
+    stop = None
     for iterations in range(1, max_iter + 1):
         g = two_load_gradient(model, y[0], y[1])
         if np.linalg.norm(g) < tol:
-            converged = True
+            stop = "tol"
             break
         cand = _project_two(y + s * g, y_cap)
         cand_area = _area2(model, cand[0], cand[1])
@@ -241,9 +242,9 @@ def solve_two_load(
                 # no step gains area in floating point: a constraint face
                 # with nonzero free gradient, or an interior maximum whose
                 # gradient norm is still above tol
-                converged = True
+                stop = "stall"
                 break
-    if not converged:
+    if stop is None:
         raise NumericError(
             f"two-load ascent did not converge in {max_iter} iterations; "
             f"last iterate {y.tolist()}"
@@ -253,7 +254,10 @@ def solve_two_load(
         model,
         [y1, y2],
         iterations,
-        {"gradient_norm": float(np.linalg.norm(two_load_gradient(model, y1, y2)))},
+        {
+            "gradient_norm": float(np.linalg.norm(two_load_gradient(model, y1, y2))),
+            "stop": stop,
+        },
     )
 
 

@@ -20,6 +20,7 @@ import numpy as np
 from . import __version__
 from .analytic import solve_n_load
 from .dispatch import (
+    SwitchSchedule,
     combo_histogram,
     dispatch_greedy,
     utilization,
@@ -121,8 +122,11 @@ def _run_method(
     big_m: float,
     tighten: bool,
     multistarts: int,
-) -> SizingResult:
-    """One full sizing pipeline: sort, optimize, dispatch, score."""
+) -> tuple[SizingResult, SwitchSchedule]:
+    """One full sizing pipeline: sort, optimize, dispatch, score.
+
+    Returns the result and the schedule its sizes were scored by.
+    """
     t0 = time.perf_counter()
     diagnostics: dict = {}
     if method == "analytic":
@@ -181,7 +185,7 @@ def _run_method(
     schedule = dispatch_greedy(series, positive)
     report = utilization(series, schedule, positive)
     runtime = time.perf_counter() - t0
-    return SizingResult(
+    result = SizingResult(
         method=method,
         n=n,
         x=[float(v) for v in positive],
@@ -190,6 +194,7 @@ def _run_method(
         diagnostics=diagnostics,
         runtime_seconds=runtime,
     )
+    return result, schedule
 
 
 _KNOB_OPTIONS = [
@@ -246,7 +251,7 @@ def size(ctx, input_csv, method, n_loads, denormalize, **_):
     if n_loads < 1:
         raise UsageError("--n must be >= 1")
     series = _ingest(input_csv, p["resample"])
-    result = _run_method(
+    result, schedule = _run_method(
         method,
         series,
         n_loads,
@@ -268,7 +273,6 @@ def size(ctx, input_csv, method, n_loads, denormalize, **_):
     result_path = out / f"result_{method}_n{n_loads}.json"
     result_path.write_text(result.to_json() + "\n", encoding="utf-8")
     x = np.asarray(result.x)
-    schedule = dispatch_greedy(series, x)
     schedule_path = write_schedule_csv(
         series, schedule, x, out / f"schedule_{method}_n{n_loads}.csv"
     )
@@ -330,7 +334,7 @@ def compare(ctx, input_csv, n_range, clear_day, **_):
             if method == "analytic" and n > 4:
                 continue
             try:
-                result = _run_method(
+                result, _ = _run_method(
                     method,
                     clear_series if method == "analytic" else series,
                     n,

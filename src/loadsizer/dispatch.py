@@ -18,7 +18,6 @@ from .errors import DataError
 from .results import format_float
 from .timeseries import PowerSeries
 
-_ENUM_LIMIT = 12  # exhaustive subset table up to here, branch and bound beyond
 _MAX_LOADS = 20
 
 _FEAS_TOL = 1e-12
@@ -71,63 +70,38 @@ class ComboHistogram:
 def subset_table(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All 2^n subset draws with the best representative per distinct draw.
 
-    Returns ``(sums, masks)`` sorted by ascending draw; among subsets with
-    an identical draw the one with fewest loads on, then lowest combo
-    index, is kept.
+    The table is built by doubling (the list step of Horowitz & Sahni,
+    JACM 1974): load i appends ``x_i`` to every subset of loads 1..i-1, so
+    each draw is summed from load 1 onwards in one fixed order. Returns
+    ``(sums, masks)`` sorted by ascending draw; among subsets with an
+    identical draw the one with fewest loads on, then lowest combo index,
+    is kept.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
-    masks = np.arange(2**n, dtype=np.int64)
-    shifts = n - 1 - np.arange(n)
-    bits = (masks[:, None] >> shifts[None, :]) & 1
-    sums = bits.astype(float) @ x
-    pops = bits.sum(axis=1)
+    sums = np.zeros(2**n)
+    pops = np.zeros(2**n, dtype=np.int64)
+    masks = np.zeros(2**n, dtype=np.int64)
+    for i in range(n):
+        k = 1 << i
+        sums[k : 2 * k] = sums[:k] + x[i]
+        pops[k : 2 * k] = pops[:k] + 1
+        masks[k : 2 * k] = masks[:k] | 1 << (n - 1 - i)
     order = np.lexsort((masks, pops, sums))
-    sums_sorted = sums[order]
-    uniq, first = np.unique(sums_sorted, return_index=True)
+    uniq, first = np.unique(sums[order], return_index=True)
     return uniq, masks[order][first]
 
 
 def capture_best(values: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized per-step best feasible draw for every value in ``values``.
 
-    Returns ``(captured, mask)`` arrays; uses the exhaustive subset table,
-    so only valid for n <= _ENUM_LIMIT.
+    Returns ``(captured, mask)`` arrays: the largest subset draw with
+    ``draw <= value`` and its combo index, by the rule of ``subset_table``.
     """
     sums, masks = subset_table(x)
     idx = np.searchsorted(sums, np.asarray(values, dtype=float), side="right") - 1
     idx = np.maximum(idx, 0)  # sums[0] == 0.0 is always feasible
     return sums[idx], masks[idx]
-
-
-def _best_subset_bnb(s: float, x: np.ndarray) -> tuple[float, int]:
-    """Depth-first branch and bound max subset draw <= s, same tie rules."""
-    n = x.size
-    order = np.argsort(-x)  # big items first tightens the suffix bound
-    xs = x[order]
-    suffix = np.concatenate([np.cumsum(xs[::-1])[::-1], [0.0]])
-    best = [0.0, 0, 0]  # draw, popcount, mask (original bit convention)
-
-    def mask_bit(j: int) -> int:
-        return 1 << (n - 1 - order[j])
-
-    def dfs(j: int, total: float, pops: int, mask: int) -> None:
-        if total > s + _FEAS_TOL:
-            return
-        cand = (total, pops, mask)
-        if total > best[0] or (
-            total == best[0] and (pops, mask) < (best[1], best[2])
-        ):
-            best[0], best[1], best[2] = cand
-        if j == n:
-            return
-        if total + suffix[j] < best[0]:
-            return  # cannot strictly beat the incumbent
-        dfs(j + 1, total + xs[j], pops + 1, mask | mask_bit(j))
-        dfs(j + 1, total, pops, mask)
-
-    dfs(0, 0.0, 0, 0)
-    return best[0], best[2]
 
 
 def dispatch_greedy(series: PowerSeries, x) -> SwitchSchedule:
@@ -138,15 +112,7 @@ def dispatch_greedy(series: PowerSeries, x) -> SwitchSchedule:
         raise DataError(f"need 1..{_MAX_LOADS} loads, got {n}")
     if (x <= 0).any():
         raise DataError(f"load sizes must be positive, got {x.tolist()}")
-    values = series.values
-    if n <= _ENUM_LIMIT:
-        _, chosen = capture_best(values, x)
-    else:
-        chosen = np.fromiter(
-            (_best_subset_bnb(float(s), x)[1] for s in values),
-            dtype=np.int64,
-            count=values.size,
-        )
+    _, chosen = capture_best(series.values, x)
     shifts = n - 1 - np.arange(n)
     u = ((chosen[None, :] >> shifts[:, None]) & 1).astype(np.uint8)
     return SwitchSchedule(u=u, combo_index=chosen)

@@ -98,56 +98,45 @@ def best_sizes_for_schedule(instance: MilpInstance, u: np.ndarray) -> tuple[np.n
     return np.maximum(x, 0.0), float(capture)
 
 
+def _dispatch(instance: MilpInstance, x: np.ndarray) -> tuple[np.ndarray, float]:
+    """Best schedule for sizes ``x`` and its capture; zero-size loads stay off."""
+    u = np.zeros((instance.n, instance.horizon), dtype=np.uint8)
+    rows = np.flatnonzero(x > 1e-12)
+    if rows.size == 0:
+        return u, 0.0
+    draws, masks = capture_best(instance.s, x[rows])
+    shifts = rows.size - 1 - np.arange(rows.size)
+    u[rows] = (masks[None, :] >> shifts[:, None]) & 1
+    return u, float(draws.sum())
+
+
 def _repair(instance: MilpInstance, x_start: np.ndarray, rounds: int = 4):
     """Alternate dispatch (best u given x) and sizing (best x given u)."""
-    s = instance.s
     x = np.asarray(x_start, dtype=float).copy()
     best = None
     for _ in range(rounds):
-        positive = x > 1e-12
-        if not positive.any():
+        if not (x > 1e-12).any():
             break
-        _, masks = capture_best(s, x[positive])
-        u = np.zeros((instance.n, instance.horizon), dtype=np.uint8)
-        rows = np.flatnonzero(positive)
-        k = rows.size
-        for j, i in enumerate(rows):
-            u[i] = (masks >> (k - 1 - j)) & 1
+        u, _ = _dispatch(instance, x)
         x_new, capture = best_sizes_for_schedule(instance, u)
-        if best is None or capture > best[2] + _EQ_TOL:
-            best = (x_new, u, capture)
+        if best is None or capture > best[1] + _EQ_TOL:
+            best = (x_new, capture)
         if np.abs(x_new - x).max() < 1e-12:
             break
         x = x_new
     if best is None:
         return None
-    x, u, capture = best
     # re-dispatch the polished sizes so u is the best schedule for them
-    positive = x > 1e-12
-    if positive.any():
-        draws, masks = capture_best(s, x[positive])
-        u = np.zeros((instance.n, instance.horizon), dtype=np.uint8)
-        rows = np.flatnonzero(positive)
-        k = rows.size
-        for j, i in enumerate(rows):
-            u[i] = (masks >> (k - 1 - j)) & 1
-        capture = float(draws.sum())
+    x = best[0]
+    u, capture = _dispatch(instance, x)
     y = u * x[:, None]
     return x, u, y, instance.total_power - capture
-
-
-def _dispatch_capture(instance: MilpInstance, x: np.ndarray) -> float:
-    positive = x[x > 1e-12]
-    if positive.size == 0:
-        return 0.0
-    draws, _ = capture_best(instance.s, positive)
-    return float(draws.sum())
 
 
 def _coordinate_polish(instance: MilpInstance, x_start: np.ndarray) -> np.ndarray:
     """Deterministic coordinate search on the sizes, scored by dispatch."""
     x = np.asarray(x_start, dtype=float).copy()
-    best = _dispatch_capture(instance, x)
+    best = _dispatch(instance, x)[1]
     peak = float(instance.s.max())
     step = peak / 8.0
     while step > peak / 1024.0:
@@ -156,7 +145,7 @@ def _coordinate_polish(instance: MilpInstance, x_start: np.ndarray) -> np.ndarra
             for delta in (step, -step):
                 trial = x.copy()
                 trial[i] = min(max(trial[i] + delta, 0.0), peak)
-                cap = _dispatch_capture(instance, trial)
+                cap = _dispatch(instance, trial)[1]
                 if cap > best + 1e-12:
                     x, best = trial, cap
                     improved = True
@@ -296,7 +285,9 @@ def branch_and_bound(
         incumbent.offer(
             np.zeros(n), np.zeros((n, T), dtype=np.uint8), np.zeros((n, T)), instance.total_power
         )
-    gap = max(0.0, (incumbent.objective - best_bound) / max(1e-9, incumbent.objective))
+    # a mismatch is never negative, so a rounded-below-zero bound counts as 0
+    lower = max(best_bound, 0.0)
+    gap = max(0.0, (incumbent.objective - lower) / max(1e-9, incumbent.objective))
     if status == "optimal":
         gap = 0.0
     return MilpSolution(

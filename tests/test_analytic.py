@@ -224,6 +224,23 @@ def test_two_load_degenerate_equal_init(ref_model):
     assert sol.solar_utilization == pytest.approx(0.7949, abs=0.01)
 
 
+def test_two_load_reports_stop_reason(ref_model):
+    # criterion 2's 16 seeded starts: each ends by the backtracking stall,
+    # with the gradient norm still above the default tol
+    cap = ref_model.y_max * (1 - 1e-6)
+    rng = np.random.default_rng(42)
+    for _ in range(16):
+        y1 = rng.uniform(0.01, cap / 2)
+        y2 = rng.uniform(y1, cap - y1)
+        sol = solve_two_load(ref_model, init=(y1, y2))
+        assert sol.diagnostics["stop"] == "stall"
+        assert sol.diagnostics["gradient_norm"] >= 1e-7
+    # a tol above the starting gradient norm stops on the first iteration
+    sol = solve_two_load(ref_model, tol=1e3)
+    assert sol.diagnostics["stop"] == "tol"
+    assert sol.iterations == 1
+
+
 # ---------------------------------------------------------------------------
 # n loads and the staircase area
 # ---------------------------------------------------------------------------

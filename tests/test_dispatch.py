@@ -10,7 +10,6 @@ import pytest
 
 from loadsizer import PowerSeries
 from loadsizer.dispatch import (
-    capture_best,
     combo_histogram,
     dispatch_greedy,
     subset_table,
@@ -97,15 +96,52 @@ def test_tie_break_prefers_fewer_loads_then_low_combo():
     assert sched.combo_index.tolist() == [4]  # load 1 alone
 
 
-def test_bnb_path_matches_table_path():
+def bit_matrix_oracle(s, x):
+    """Independent best-subset choice per step from the (2^n, n) bit matrix.
+
+    Draws are ``bits @ x`` as in acceptance criterion 10, taken in row
+    chunks so that n = 20 stays small in memory; the rule is the largest
+    draw <= S, then fewest loads on, then the lowest combo index.
+    """
+    n = x.size
+    combos = np.arange(2**n)
+    bits = ((combos[:, None] >> (n - 1 - np.arange(n))[None, :]) & 1).astype(np.uint8)
+    chunk = 1 << 14
+    sums = np.concatenate(
+        [bits[k : k + chunk].astype(float) @ x for k in range(0, 2**n, chunk)]
+    )
+    pops = bits.sum(axis=1)
+    chosen = []
+    for value in s:
+        feas = sums <= value
+        winners = feas & (sums == sums[feas].max())
+        winners &= pops == pops[winners].min()
+        chosen.append(combos[winners].min())
+    return sums, np.array(chosen)
+
+
+@pytest.mark.parametrize("n", [13, 20])
+def test_wide_dispatch_matches_bit_matrix_oracle(n):
+    rng = np.random.default_rng(n)
+    # dyadic sizes: every draw is exact, so equal draws tie exactly and the
+    # fewest-loads and lowest-combo rules decide
+    x = rng.integers(1, 64, size=n) / 64.0
+    s = rng.integers(0, int(64 * x.sum()) + 32, size=40) / 64.0
+    s[:4] = [0.0, x.min(), x.sum(), x.sum() + 1.0]
+    sched = dispatch_greedy(make_series(s), x)
+    sums, combo = bit_matrix_oracle(s, x)
+    assert (sched.combo_index == combo).all()
+    assert (x @ sched.u == sums[combo]).all()
+
+
+def test_wide_dispatch_matches_bit_matrix_oracle_real_sizes():
     rng = np.random.default_rng(5)
-    x = rng.uniform(0.01, 0.2, size=13)  # forces the branch-and-bound path
+    x = rng.uniform(0.01, 0.2, size=13)
     values = rng.uniform(0.0, 1.5, size=60)
     sched = dispatch_greedy(make_series(values), x)
-    sums, masks = subset_table(x)
-    captured, masks_fast = capture_best(values, x)
-    assert np.allclose(x @ sched.u, captured, atol=1e-12)
-    assert (sched.combo_index == masks_fast).all()
+    sums, combo = bit_matrix_oracle(values, x)
+    assert (sched.combo_index == combo).all()
+    assert np.allclose(x @ sched.u, sums[combo], rtol=0.0, atol=1e-12)
 
 
 def test_subset_table_sorted_unique():

@@ -23,7 +23,7 @@ from loadsizer.milp import (
     solve_lp_relaxation,
 )
 from loadsizer.milp.bnb import best_sizes_for_schedule
-from loadsizer.timeseries import SortedSeries
+from loadsizer.timeseries import SortedSeries, downsample_uniform, sort_ascending
 
 
 def step_capture(s_t, x):
@@ -289,6 +289,16 @@ def test_node_limit_status_and_feasibility():
     assert sol.status == "node_limit"
     assert sol.gap >= 0
     assert (sol.y.sum(axis=0) <= s + 1e-9).all()
+
+
+def test_node_limit_gap_stays_within_unit_interval(year_series):
+    # on the year at ratio 200 the root LP bound rounds to -7.1e-15; a
+    # mismatch is never negative, so the relative gap must not exceed 1
+    reduced = downsample_uniform(sort_ascending(year_series, remove_zeros=False), 200)
+    inst = build_instance(reduced.values, 3)
+    sol = branch_and_bound(inst, gap_tol=1e-6, node_limit=200)
+    assert sol.status == "node_limit"
+    assert 0.0 <= sol.gap <= 1.0
 
 
 def test_vertex_oracle_matches_schedule_enumeration():
