@@ -19,7 +19,6 @@ from .errors import (
 )
 from .timeseries import (
     ClearSkyModel,
-    PowerSample,
     PowerSeries,
     SortedSeries,
     downsample_uniform,
@@ -40,7 +39,6 @@ __all__ = [
     "LoadSizerError",
     "NumericError",
     "ParseError",
-    "PowerSample",
     "PowerSeries",
     "SortedSeries",
     "UsageError",

@@ -109,22 +109,11 @@ def main() -> None:
 
 
 def _run_method(
-    method: str,
-    series: PowerSeries,
-    n: int,
-    seed: int,
-    c_steps: int,
-    block_length: int,
-    restarts: int,
-    ratio: int,
-    gap: float,
-    node_limit: int,
-    big_m: float,
-    tighten: bool,
-    multistarts: int,
+    method: str, series: PowerSeries, n: int, p: dict
 ) -> tuple[SizingResult, SwitchSchedule]:
     """One full sizing pipeline: sort, optimize, dispatch, score.
 
+    ``p`` is the command's parsed params: ``seed`` and the method knobs.
     Returns the result and the schedule its sizes were scored by.
     """
     t0 = time.perf_counter()
@@ -133,7 +122,7 @@ def _run_method(
         if n > 4:
             raise UsageError("the analytic route supports n <= 4")
         model = fit_clear_day(series)
-        sol = solve_n_load(model, n, multistarts=multistarts, seed=seed)
+        sol = solve_n_load(model, n, multistarts=p["multistarts"], seed=p["seed"])
         x = np.sort(np.asarray(sol.base_sizes))[::-1]
         objective = sol.area
         diagnostics = {
@@ -144,13 +133,15 @@ def _run_method(
         }
     elif method == "ecls":
         sorted_series = sort_ascending(series, remove_zeros=True)
-        best = line_search_C(sorted_series, n, c_steps=c_steps, block_length=block_length)
+        best = line_search_C(
+            sorted_series, n, c_steps=p["c_steps"], block_length=p["block_length"]
+        )
         x = best.x
         objective = best.residual_norm
         diagnostics = {"C": best.C, "lambda": best.lam, "residual_norm": best.residual_norm}
     elif method == "icls":
         sorted_series = sort_ascending(series, remove_zeros=True)
-        best = optimize_m(sorted_series, n, restarts=restarts, seed=seed)
+        best = optimize_m(sorted_series, n, restarts=p["restarts"], seed=p["seed"])
         x = best.x
         objective = best.residual_norm
         diagnostics = {
@@ -162,16 +153,16 @@ def _run_method(
         }
     elif method == "milp":
         sorted_series = sort_ascending(series, remove_zeros=False)
-        reduced = downsample_uniform(sorted_series, ratio)
-        instance = build_instance(reduced.values, n, big_m=big_m, tighten=tighten)
-        sol = branch_and_bound(instance, gap_tol=gap, node_limit=node_limit)
+        reduced = downsample_uniform(sorted_series, p["ratio"])
+        instance = build_instance(reduced.values, n)
+        sol = branch_and_bound(instance, gap_tol=p["gap"], node_limit=p["node_limit"])
         x = np.sort(sol.x)[::-1]
         objective = sol.objective
         diagnostics = {
             "gap": sol.gap,
             "nodes_explored": sol.nodes_explored,
             "status": sol.status,
-            "ratio": ratio,
+            "ratio": p["ratio"],
             "downsampled_length": len(reduced),
         }
     else:
@@ -204,10 +195,6 @@ _KNOB_OPTIONS = [
     click.option("--ratio", default=200, show_default=True, help="MILP downsampling ratio."),
     click.option("--gap", default=1e-6, show_default=True, help="MILP relative gap tolerance."),
     click.option("--node-limit", default=200, show_default=True, help="MILP node budget."),
-    click.option("--big-m", default=1e6, show_default=True, help="MILP big-M constant."),
-    click.option(
-        "--no-tighten", is_flag=True, help="Keep the nominal big-M instead of the profile peak."
-    ),
     click.option("--multistarts", default=16, show_default=True, help="Analytic multistarts."),
 ]
 
@@ -251,21 +238,7 @@ def size(ctx, input_csv, method, n_loads, denormalize, **_):
     if n_loads < 1:
         raise UsageError("--n must be >= 1")
     series = _ingest(input_csv, p["resample"])
-    result, schedule = _run_method(
-        method,
-        series,
-        n_loads,
-        seed=p["seed"],
-        c_steps=p["c_steps"],
-        block_length=p["block_length"],
-        restarts=p["restarts"],
-        ratio=p["ratio"],
-        gap=p["gap"],
-        node_limit=p["node_limit"],
-        big_m=p["big_m"],
-        tighten=not p["no_tighten"],
-        multistarts=p["multistarts"],
-    )
+    result, schedule = _run_method(method, series, n_loads, p)
     if denormalize:
         result.diagnostics["x_watts"] = [v * series.s_max for v in result.x]
         result.diagnostics["s_max_watts"] = series.s_max
@@ -335,19 +308,7 @@ def compare(ctx, input_csv, n_range, clear_day, **_):
                 continue
             try:
                 result, _ = _run_method(
-                    method,
-                    clear_series if method == "analytic" else series,
-                    n,
-                    seed=p["seed"],
-                    c_steps=p["c_steps"],
-                    block_length=p["block_length"],
-                    restarts=p["restarts"],
-                    ratio=p["ratio"],
-                    gap=p["gap"],
-                    node_limit=p["node_limit"],
-                    big_m=p["big_m"],
-                    tighten=not p["no_tighten"],
-                    multistarts=p["multistarts"],
+                    method, clear_series if method == "analytic" else series, n, p
                 )
                 rows.append(result)
                 click.echo(f"{method} n={n}: SU={result.solar_utilization:.4f}")

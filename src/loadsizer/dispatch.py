@@ -186,7 +186,11 @@ def write_schedule_csv(
 
 
 def write_histogram_csv(hist: ComboHistogram, path: str | Path) -> Path:
-    """Emit ``bin, combo_index, count`` rows for the nonzero combinations."""
+    """Emit ``bin, combo_index, count`` rows.
+
+    Every bin with daylight gets one row per combination 1..2^n - 1, zero
+    counts included; all-dark bins and the all-off combination 0 get none.
+    """
     path = Path(path)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

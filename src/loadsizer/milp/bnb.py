@@ -191,6 +191,27 @@ class _Incumbent:
         return False
 
 
+def _branch_or_offer(
+    instance: MilpInstance, incumbent: _Incumbent, relax, fixes
+) -> tuple[int, int] | None:
+    """The node's most fractional unfixed binary ``(i, t)`` to branch on.
+
+    Ties go to the lowest ``(t, i)``. If every binary is within 1e-9 of
+    integral, the node is solved by its own LP: its rounded schedule is
+    sized and offered to the incumbent, and None is returned.
+    """
+    frac = np.minimum(relax.u, 1.0 - relax.u)
+    for (i, t) in fixes:
+        frac[i, t] = 0.0
+    t_pick, i_pick = divmod(int(np.argmax(frac.T)), instance.n)
+    if frac[i_pick, t_pick] > 1e-9:
+        return i_pick, t_pick
+    u = np.rint(relax.u).astype(np.uint8)
+    x, capture = best_sizes_for_schedule(instance, u)
+    incumbent.offer(x, u, u * x[:, None], instance.total_power - capture)
+    return None
+
+
 def branch_and_bound(
     instance: MilpInstance,
     gap_tol: float = 1e-6,
@@ -245,35 +266,19 @@ def branch_and_bound(
             status = "node_limit"
             break
 
-        frac = np.minimum(relax.u, 1.0 - relax.u)
-        for (i, t) in fixes:
-            frac[i, t] = 0.0
-        pick = int(np.argmax(frac.T))  # time-major: lowest (t, i) wins ties
-        t_pick, i_pick = divmod(pick, n)
-        if frac[i_pick, t_pick] <= 1e-9:
-            # integral relaxation: the node is solved by its own LP
-            candidate_u = np.rint(relax.u).astype(np.uint8)
-            x_best, capture = best_sizes_for_schedule(instance, candidate_u)
-            y = candidate_u * x_best[:, None]
-            incumbent.offer(x_best, candidate_u, y, instance.total_power - capture)
+        pick = _branch_or_offer(instance, incumbent, relax, fixes)
+        if pick is None:
             continue
 
         for value in (1, 0):
             child_fixes = dict(fixes)
-            child_fixes[(i_pick, t_pick)] = value
-            child = solve_lp_relaxation(
-                instance,
-                bounds={k: (v, v) for k, v in child_fixes.items()},
-            )
+            child_fixes[pick] = value
+            child = solve_lp_relaxation(instance, child_fixes)
             nodes_explored += 1
             repaired = _repair(instance, child.x, rounds=2)
             if repaired is not None:
                 incumbent.offer(*repaired)
-            if relax_is_integral(child, child_fixes):
-                candidate_u = np.rint(child.u).astype(np.uint8)
-                x_best, capture = best_sizes_for_schedule(instance, candidate_u)
-                y = candidate_u * x_best[:, None]
-                incumbent.offer(x_best, candidate_u, y, instance.total_power - capture)
+            _branch_or_offer(instance, incumbent, child, child_fixes)
             if incumbent.x is None or child.objective_lb < incumbent.objective - _OBJ_TOL:
                 heapq.heappush(heap, (child.objective_lb, next(counter), child_fixes, child))
     else:
@@ -300,9 +305,3 @@ def branch_and_bound(
         status=status,
     )
 
-
-def relax_is_integral(relax, fixes) -> bool:
-    frac = np.minimum(relax.u, 1.0 - relax.u)
-    for (i, t) in fixes:
-        frac[i, t] = 0.0
-    return bool((frac <= 1e-9).all())

@@ -4,7 +4,8 @@ Variables: sizes ``x_i``, binaries ``u_i(t)`` and committed demands
 ``y_i(t)``. Constraints per timestep: ``sum_i y_i(t) <= s_t`` plus, per
 load and timestep, ``y <= u*M``, ``y >= 0``, ``y <= x`` and
 ``y >= x + (u - 1)*M``; the objective minimizes the total mismatch
-``sum_t (s_t - sum_i y_i(t))``.
+``sum_t (s_t - sum_i y_i(t))``. Any ``M >= max(s)`` is exact, and no
+solver reads M: the relaxation eliminates y and u (see ``relaxation``).
 """
 
 from __future__ import annotations
@@ -16,15 +17,11 @@ import numpy as np
 
 from ..errors import DataError
 
-DEFAULT_BIG_M = 1e6
-
 
 @dataclass(frozen=True)
 class MilpInstance:
     s: np.ndarray = field(repr=False)  # profile values, any order
     n: int
-    big_m: float
-    m_effective: float  # tightened constant actually used in constraints
 
     def __post_init__(self) -> None:
         s = np.asarray(self.s, dtype=float).ravel()
@@ -55,8 +52,6 @@ class MilpInstance:
             {
                 "s": [float(v) for v in self.s],
                 "n": self.n,
-                "big_m": self.big_m,
-                "m_effective": self.m_effective,
                 "num_binaries": self.num_binaries,
                 "num_continuous": self.num_continuous,
                 "num_constraints": self.num_constraints,
@@ -66,13 +61,12 @@ class MilpInstance:
         )
 
 
-def build_instance(values, n: int, big_m: float = DEFAULT_BIG_M, tighten: bool = True) -> MilpInstance:
-    """Validate the profile and pick the big-M constant.
+def build_instance(values, n: int) -> MilpInstance:
+    """Validate the profile and the load count.
 
-    ``big_m`` below the profile peak would cut feasible schedules off and
-    is rejected. With ``tighten`` (default) the constraints use
-    ``max(values)`` instead of the nominal constant, which is valid because
-    some optimum always has ``y <= x <= max(s)``.
+    The instance carries no big-M constant: with sizes capped at
+    ``max(values)``, which some optimum always satisfies, every
+    ``M >= max(values)`` gives the same relaxation and the same optimum.
     """
     s = np.asarray(values, dtype=float).ravel()
     if s.size < 1:
@@ -81,8 +75,4 @@ def build_instance(values, n: int, big_m: float = DEFAULT_BIG_M, tighten: bool =
         raise DataError("profile values must be finite and >= 0")
     if n < 1:
         raise DataError("n must be >= 1")
-    peak = float(s.max())
-    if big_m < peak:
-        raise DataError(f"big_m {big_m} is below the profile peak {peak}")
-    m_eff = peak if tighten and peak > 0 else float(big_m)
-    return MilpInstance(s=s, n=n, big_m=float(big_m), m_effective=m_eff)
+    return MilpInstance(s=s, n=n)

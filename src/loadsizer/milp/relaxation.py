@@ -1,16 +1,15 @@
-"""Exact LP relaxation of the big-M instance under per-binary interval fixes.
+"""Exact LP relaxation of the big-M instance under 0/1 fixes of its binaries.
 
-Two equivalent routes share the simplex engine. The monolithic route
-builds the full variable set (used for general fractional bounds and as a
-test oracle). The fast route, used by branch and bound where every bound
-is free/fixed-0/fixed-1, eliminates y and u analytically: a fixed-1 pair
-forces ``y = x_i``, a fixed-0 pair forces ``y = 0``, and a free pair only
-caps ``0 <= y <= x_i``, so each timestep contributes
-``min(s_t, sum of x_i over loads not fixed off)``. Timesteps with no
-fixes at all collapse into one concave piecewise-linear term of
-``W = sum(x)``, built up by exact cutting planes, which keeps the master
-LP size proportional to the number of branched pairs instead of the full
-horizon.
+Every binary is either fixed (to 0 or 1) or free, and some optimum has
+``x <= max(s)``, so for any ``M >= max(s)`` the big-M rows reduce to
+``y = x_i`` for a fixed-1 pair, ``y = 0`` for a fixed-0 pair and
+``0 <= y <= x_i`` for a free one: M never changes the relaxation. y and u
+are therefore eliminated analytically, and each timestep contributes
+``min(s_t, sum of x_i over loads not fixed off)``, with the fixed-on
+sizes also capped by ``s_t``. Timesteps with no fixes at all collapse into
+one concave piecewise-linear term of ``W = sum(x)``, built up by exact
+cutting planes, which keeps the master LP size proportional to the number
+of branched pairs instead of the full horizon.
 """
 
 from __future__ import annotations
@@ -32,33 +31,23 @@ class LpRelaxation:
     """Relaxation outcome: a valid mismatch lower bound plus a solution."""
 
     objective_lb: float
-    capture: float
     x: np.ndarray = field(repr=False)
-    y: np.ndarray = field(repr=False)  # (n, T)
     u: np.ndarray = field(repr=False)  # (n, T), possibly fractional
-    status: str = "optimal"
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "optimal"
+    status: str = "optimal"  # optimal | cut_stall | cut_limit
 
 
-def _normalize_bounds(instance: MilpInstance, bounds) -> tuple[np.ndarray, np.ndarray]:
+def _fix_masks(instance: MilpInstance, fixes) -> tuple[np.ndarray, np.ndarray]:
+    """Boolean (n, T) masks of the binaries fixed on and fixed off."""
     n, T = instance.n, instance.horizon
-    lo = np.zeros((n, T))
-    hi = np.ones((n, T))
-    if bounds is None:
-        return lo, hi
-    if isinstance(bounds, dict):
-        for (i, t), pair in bounds.items():
-            lo[i, t], hi[i, t] = pair
-    else:
-        lo_arr, hi_arr = bounds
-        lo = np.asarray(lo_arr, dtype=float).reshape(n, T).copy()
-        hi = np.asarray(hi_arr, dtype=float).reshape(n, T).copy()
-    if (lo < -1e-12).any() or (hi > 1 + 1e-12).any() or (lo > hi + 1e-12).any():
-        raise DataError("binary bounds must satisfy 0 <= lo <= hi <= 1")
-    return lo, hi
+    fixed_on = np.zeros((n, T), dtype=bool)
+    fixed_off = np.zeros((n, T), dtype=bool)
+    for (i, t), value in (fixes or {}).items():
+        if not (0 <= i < n and 0 <= t < T):
+            raise DataError(f"fix ({i}, {t}) is outside the {n} x {T} binaries")
+        if value not in (0, 1):
+            raise DataError(f"fix ({i}, {t}) must be 0 or 1, got {value!r}")
+        (fixed_on if value == 1 else fixed_off)[i, t] = True
+    return fixed_on, fixed_off
 
 
 def _virgin_capture(sorted_s: np.ndarray, prefix: np.ndarray, w: float) -> float:
@@ -72,27 +61,18 @@ def _virgin_slope(sorted_s: np.ndarray, w: float) -> float:
     return float(sorted_s.size - np.searchsorted(sorted_s, w, side="right"))
 
 
-def solve_lp_relaxation(instance: MilpInstance, bounds=None) -> LpRelaxation:
+def solve_lp_relaxation(instance: MilpInstance, fixes=None) -> LpRelaxation:
     """Optimal value and solution of the LP relaxation.
 
-    ``bounds`` fixes or narrows individual binaries; the returned
-    ``objective_lb`` is a valid lower bound on every integral completion
-    (exactly the LP optimum when the cut loop converges, which it does for
-    all but pathological inputs; otherwise it is a weaker valid bound and
-    the status says so).
+    ``fixes`` maps ``(i, t)`` to 0 or 1 and pins those binaries; the
+    rest stay free in [0, 1]. The returned ``objective_lb`` is a valid
+    lower bound on every integral completion (exactly the LP optimum when
+    the cut loop converges, which it does for all but pathological inputs;
+    otherwise it is a weaker valid bound and the status says so).
     """
-    lo, hi = _normalize_bounds(instance, bounds)
-    binary_like = ((lo == 0) | (lo == 1)) & ((hi == 0) | (hi == 1))
-    if binary_like.all():
-        return _solve_reduced(instance, lo, hi)
-    return _solve_monolithic(instance, lo, hi)
-
-
-def _solve_reduced(instance: MilpInstance, lo: np.ndarray, hi: np.ndarray) -> LpRelaxation:
+    fixed_on, fixed_off = _fix_masks(instance, fixes)
     n, T = instance.n, instance.horizon
     s = instance.s
-    fixed_on = lo == 1
-    fixed_off = hi == 0
     touched = np.flatnonzero(fixed_on.any(axis=0) | fixed_off.any(axis=0))
     virgin_mask = np.ones(T, dtype=bool)
     virgin_mask[touched] = False
@@ -155,6 +135,8 @@ def _solve_reduced(instance: MilpInstance, lo: np.ndarray, hi: np.ndarray) -> Lp
         res = solve_lp(c, a_ub=np.vstack(a_rows), b_ub=np.array(b_vals))
         if not res.ok:
             raise NumericError(f"relaxation master LP came back {res.status}")
+        # the master overestimates the virgin term until the cuts close, so
+        # its value stays a valid capture upper bound either way
         capture_ub = -res.fun
         w_star = float(res.x[:n].sum())
         g_star = float(res.x[g_col])
@@ -171,24 +153,19 @@ def _solve_reduced(instance: MilpInstance, lo: np.ndarray, hi: np.ndarray) -> Lp
         status = "cut_limit"
 
     x = np.maximum(res.x[:n], 0.0)
-    y, u = _reconstruct(instance, x, fixed_on, fixed_off)
-    # the master overestimates the virgin term until the cuts close, so its
-    # value stays a valid capture upper bound either way
-    capture_exact = float(y.sum())
     return LpRelaxation(
         objective_lb=instance.total_power - capture_ub,
-        capture=capture_exact,
         x=x,
-        y=y,
-        u=u,
+        u=_reconstruct(instance, x, fixed_on, fixed_off),
         status=status,
     )
 
 
 def _reconstruct(
     instance: MilpInstance, x: np.ndarray, fixed_on: np.ndarray, fixed_off: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fill committed demand greedily (forced loads first, then by index)."""
+) -> np.ndarray:
+    """Fractional u from committed demand filled greedily (forced loads
+    first, then by index)."""
     n, T = instance.n, instance.horizon
     s = instance.s
     y = np.zeros((n, T))
@@ -209,69 +186,4 @@ def _reconstruct(
         u = np.where(x[:, None] > 1e-12, y / np.maximum(x[:, None], 1e-300), 0.0)
     u[fixed_on] = 1.0
     u[fixed_off] = 0.0
-    return y, np.clip(u, 0.0, 1.0)
-
-
-def _solve_monolithic(instance: MilpInstance, lo: np.ndarray, hi: np.ndarray) -> LpRelaxation:
-    """Full-variable LP (x, y, u); reference route for general bounds."""
-    n, T = instance.n, instance.horizon
-    s = instance.s
-    M = instance.m_effective
-    nvars = n + 2 * n * T
-
-    def y_col(i: int, t: int) -> int:
-        return n + i * T + t
-
-    def u_col(i: int, t: int) -> int:
-        return n + n * T + i * T + t
-
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-
-    def add(coeffs: dict[int, float], b: float) -> None:
-        row = np.zeros(nvars)
-        for j, v in coeffs.items():
-            row[j] = v
-        rows.append(row)
-        rhs.append(b)
-
-    for t in range(T):
-        add({y_col(i, t): 1.0 for i in range(n)}, float(s[t]))
-    for i in range(n):
-        for t in range(T):
-            add({y_col(i, t): 1.0, u_col(i, t): -M}, 0.0)
-            add({y_col(i, t): 1.0, i: -1.0}, 0.0)
-            add({y_col(i, t): -1.0, i: 1.0, u_col(i, t): M}, M)
-            add({u_col(i, t): 1.0}, float(hi[i, t]))
-            add({u_col(i, t): -1.0}, -float(lo[i, t]))
-    for i in range(n):
-        add({i: 1.0}, float(s.max()))
-
-    c = np.zeros(nvars)
-    for i in range(n):
-        for t in range(T):
-            c[y_col(i, t)] = -1.0
-    res = solve_lp(c, a_ub=np.vstack(rows), b_ub=np.array(rhs))
-    if res.status == "infeasible":
-        return LpRelaxation(
-            objective_lb=np.inf,
-            capture=0.0,
-            x=np.zeros(n),
-            y=np.zeros((n, T)),
-            u=np.zeros((n, T)),
-            status="infeasible",
-        )
-    if not res.ok:
-        raise NumericError(f"monolithic relaxation came back {res.status}")
-    x = res.x[:n]
-    y = res.x[n : n + n * T].reshape(n, T)
-    u = res.x[n + n * T :].reshape(n, T)
-    capture = float(y.sum())
-    return LpRelaxation(
-        objective_lb=instance.total_power - capture,
-        capture=capture,
-        x=x,
-        y=y,
-        u=u,
-        status="optimal",
-    )
+    return np.clip(u, 0.0, 1.0)

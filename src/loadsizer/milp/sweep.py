@@ -10,7 +10,7 @@ import numpy as np
 from ..ecls import dispatch_su
 from ..timeseries import SortedSeries, downsample_uniform
 from .bnb import branch_and_bound
-from .instance import DEFAULT_BIG_M, build_instance
+from .instance import build_instance
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,6 @@ def downsample_sweep(
     ratios,
     gap_tol: float = 1e-6,
     node_limit: int = 200,
-    big_m: float = DEFAULT_BIG_M,
 ) -> list[SweepRow]:
     """Build and solve one instance per downsampling ratio.
 
@@ -40,7 +39,7 @@ def downsample_sweep(
     for ratio in ratios:
         reduced = downsample_uniform(sorted_series, int(ratio))
         t0 = time.perf_counter()
-        instance = build_instance(reduced.values, n, big_m=big_m)
+        instance = build_instance(reduced.values, n)
         solution = branch_and_bound(instance, gap_tol=gap_tol, node_limit=node_limit)
         runtime = time.perf_counter() - t0
         positive = solution.x[solution.x > 1e-12]

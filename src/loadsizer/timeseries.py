@@ -25,18 +25,6 @@ _EPS_NORM = 1e-12
 
 
 @dataclass(frozen=True)
-class PowerSample:
-    """One timestamped power reading (same unit as the source file)."""
-
-    timestamp: datetime
-    power: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.power) or self.power < 0:
-            raise DataError(f"power must be finite and >= 0, got {self.power}")
-
-
-@dataclass(frozen=True)
 class PowerSeries:
     """Equispaced power samples plus the normalization scale.
 
@@ -74,9 +62,6 @@ class PowerSeries:
         step = np.timedelta64(self.interval_seconds, "s")
         t0 = np.datetime64(self.start)
         return [(t0 + k * step).astype(datetime) for k in range(len(self))]
-
-    def samples(self) -> list[PowerSample]:
-        return [PowerSample(t, float(p)) for t, p in zip(self.timestamps(), self.values)]
 
 
 @dataclass(frozen=True)

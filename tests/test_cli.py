@@ -178,6 +178,24 @@ def test_config_defaults_and_flag_precedence(runner, small_csv, tmp_path):
     assert len((tmp_path / "sensitivity.csv").read_text().strip().splitlines()) == 6
 
 
+def test_config_ignores_keys_of_removed_options(runner, tmp_path):
+    # big_m and no_tighten were MILP options once; old config files keep working
+    path = write_csv(tmp_path / "three.csv", np.array([300.0, 600.0, 900.0]))
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("big_m=1.5\nno_tighten=true\nratio=1\ngap=0\n")
+    result = runner.invoke(
+        main,
+        [
+            "size", "--method", "milp", "--n", "2", str(path),
+            "--config", str(cfg), "--output-dir", str(tmp_path),
+        ],
+    )
+    assert result.exit_code == 0, result.output
+    payload = json.loads((tmp_path / "result_milp_n2.json").read_text())
+    assert payload["diagnostics"]["ratio"] == 1
+    assert sorted(payload["x"], reverse=True) == pytest.approx([2 / 3, 1 / 3], abs=1e-9)
+
+
 def test_read_config_rejects_garbage(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("steps 11\n")

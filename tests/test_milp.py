@@ -90,19 +90,6 @@ def test_instance_counts_n2_t3():
     assert inst.num_continuous == 8
 
 
-def test_instance_rejects_small_big_m():
-    with pytest.raises(DataError):
-        build_instance([2.0], 1, big_m=1.5)
-
-
-def test_instance_default_big_m_and_tightening():
-    inst = build_instance([0.3, 0.9], 2)
-    assert inst.big_m == 1e6
-    assert inst.m_effective == pytest.approx(0.9)
-    loose = build_instance([0.3, 0.9], 2, tighten=False)
-    assert loose.m_effective == 1e6
-
-
 # ---------------------------------------------------------------------------
 # LP relaxation
 # ---------------------------------------------------------------------------
@@ -133,8 +120,8 @@ def test_fixed_assignment_matches_direct_evaluation():
         s = rng.uniform(0.05, 1.0, size=T)
         inst = build_instance(s, n)
         u = rng.integers(0, 2, size=(n, T))
-        bounds = {(i, t): (u[i, t], u[i, t]) for i in range(n) for t in range(T)}
-        relax = solve_lp_relaxation(inst, bounds)
+        fixes = {(i, t): int(u[i, t]) for i in range(n) for t in range(T)}
+        relax = solve_lp_relaxation(inst, fixes)
         _, capture = best_sizes_for_schedule(inst, u)
         assert relax.objective_lb == pytest.approx(s.sum() - capture, abs=1e-8)
 
@@ -146,31 +133,39 @@ def test_reduced_matches_monolithic_and_scipy():
         n = int(rng.integers(1, 3))
         s = rng.uniform(0.05, 1.0, size=T)
         inst = build_instance(s, n)
-        bounds = {}
+        fixes = {}
         for i in range(n):
             for t in range(T):
                 r = rng.random()
                 if r < 0.25:
-                    bounds[(i, t)] = (0, 0)
+                    fixes[(i, t)] = 0
                 elif r < 0.5:
-                    bounds[(i, t)] = (1, 1)
-        fast = solve_lp_relaxation(inst, bounds)
+                    fixes[(i, t)] = 1
+        fast = solve_lp_relaxation(inst, fixes)
         lo = np.zeros((n, T))
         hi = np.ones((n, T))
-        for (i, t), (a, b) in bounds.items():
-            lo[i, t], hi[i, t] = a, b
-        # force the monolithic path with one epsilon-fractional bound
-        hi_frac = hi.copy()
-        mono = solve_lp_relaxation(inst, (lo, hi_frac - 1e-12))
-        assert fast.objective_lb == pytest.approx(mono.objective_lb, abs=1e-6)
+        for (i, t), v in fixes.items():
+            lo[i, t], hi[i, t] = v, v
+        # the full-variable big-M LP, solved by scipy, is the reference
         ref = _scipy_relaxation(inst, lo, hi)
         assert fast.objective_lb == pytest.approx(ref, abs=1e-7)
+
+
+@pytest.mark.parametrize(
+    "fixes",
+    [{(0, 0): 0.5}, {(0, 0): 2}, {(1, 0): 1}, {(0, 3): 0}, {(-1, 0): 1}, {(0, -1): 0}],
+    ids=["half", "two", "load-out-of-range", "step-out-of-range", "negative-load", "negative-step"],
+)
+def test_relaxation_rejects_bad_fixes(fixes):
+    inst = build_instance([0.3, 0.6, 0.9], 1)
+    with pytest.raises(DataError):
+        solve_lp_relaxation(inst, fixes)
 
 
 def _scipy_relaxation(inst, lo, hi):
     n, T = inst.n, inst.horizon
     s = inst.s
-    M = inst.m_effective
+    M = float(inst.s.max())
     nv = n + 2 * n * T
 
     def yc(i, t):
