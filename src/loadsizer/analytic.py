@@ -16,6 +16,7 @@ All routines accept any arch exposing ``forward``, ``half_width``,
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -321,17 +322,30 @@ def solve_n_load(
     with a small extra unit (which keeps utilization non-decreasing in n),
     and seeded uniform draws from the feasible simplex. Ties between starts
     break toward the lexicographically smallest sorted size vector.
+
+    Each level's sizes are memoized on ``(model, n, multistarts, seed, tol,
+    max_iter)``, so solving n = 2, 3, 4 in turn ascends each level once;
+    the arch must therefore be hashable and is taken as immutable.
     """
     if not 1 <= n <= 4:
         raise DataError(f"n must be in 1..4, got {n}")
     if multistarts < 1:
         raise DataError("multistarts must be >= 1")
+    sizes, n_starts = _n_load_sizes(model, n, multistarts, seed, tol, max_iter)
+    return _solution(model, sizes, n_starts, {"multistarts": n_starts, "seed": seed})
+
+
+@functools.lru_cache(maxsize=32)
+def _n_load_sizes(
+    model, n: int, multistarts: int, seed: int, tol: float, max_iter: int
+) -> tuple[tuple[float, ...], int]:
+    """Sorted best unit sizes of ``solve_n_load`` and the number of starts."""
     cap = model.y_max * (1 - _EDGE_GUARD)
     starts: list[np.ndarray] = [np.full(n, 0.8 * cap / n)]
     if n > 1:
-        prev = solve_n_load(model, n - 1, multistarts=multistarts, seed=seed, tol=tol)
-        pad = min(1e-4 * model.y_max, 0.5 * (cap - sum(prev.base_sizes)))
-        starts.append(np.array(sorted(list(prev.base_sizes) + [max(pad, 1e-9)])))
+        prev, _ = _n_load_sizes(model, n - 1, multistarts, seed, tol, max_iter)
+        pad = min(1e-4 * model.y_max, 0.5 * (cap - sum(prev)))
+        starts.append(np.array(sorted(list(prev) + [max(pad, 1e-9)])))
     rng = np.random.default_rng(seed + 1000 * n)
     while len(starts) < multistarts:
         cuts = rng.dirichlet(np.ones(n + 1))
@@ -343,9 +357,4 @@ def solve_n_load(
         key = (-area, tuple(np.sort(y)))
         if best is None or key < best[:2]:
             best = (key[0], key[1], y)
-    return _solution(
-        model,
-        best[2],
-        len(starts),
-        {"multistarts": len(starts), "seed": seed},
-    )
+    return tuple(float(v) for v in np.sort(best[2])), len(starts)

@@ -150,6 +150,9 @@ def _run_method(
             "x_bar": list(best.x_bar),
             "restarts_used": best.restarts_used,
             "residual_norm": best.residual_norm,
+            "qp_solves": best.qp_solves,
+            "active_set_iterations": best.iterations,
+            "warm_start_hits": best.warm_hits,
         }
     elif method == "milp":
         sorted_series = sort_ascending(series, remove_zeros=False)

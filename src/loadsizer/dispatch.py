@@ -9,6 +9,7 @@ significant bit), so ``combo_index`` 0 means all off.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -67,6 +68,20 @@ class ComboHistogram:
     n: int
 
 
+@functools.lru_cache(maxsize=8)
+def _subset_bits(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Loads on and combo index of every subset, in ``subset_table``'s order."""
+    pops = np.zeros(2**n, dtype=np.int64)
+    masks = np.zeros(2**n, dtype=np.int64)
+    for i in range(n):
+        k = 1 << i
+        pops[k : 2 * k] = pops[:k] + 1
+        masks[k : 2 * k] = masks[:k] | 1 << (n - 1 - i)
+    pops.flags.writeable = False
+    masks.flags.writeable = False
+    return pops, masks
+
+
 def subset_table(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All 2^n subset draws with the best representative per distinct draw.
 
@@ -79,17 +94,17 @@ def subset_table(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     x = np.asarray(x, dtype=float)
     n = x.size
+    pops, masks = _subset_bits(n)
     sums = np.zeros(2**n)
-    pops = np.zeros(2**n, dtype=np.int64)
-    masks = np.zeros(2**n, dtype=np.int64)
     for i in range(n):
         k = 1 << i
-        sums[k : 2 * k] = sums[:k] + x[i]
-        pops[k : 2 * k] = pops[:k] + 1
-        masks[k : 2 * k] = masks[:k] | 1 << (n - 1 - i)
+        np.add(sums[:k], x[i], out=sums[k : 2 * k])
     order = np.lexsort((masks, pops, sums))
-    uniq, first = np.unique(sums[order], return_index=True)
-    return uniq, masks[order][first]
+    ordered = sums[order]
+    first = np.empty(ordered.size, dtype=bool)
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return ordered[first], masks[order[first]]
 
 
 def capture_best(values: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -97,9 +112,19 @@ def capture_best(values: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndar
 
     Returns ``(captured, mask)`` arrays: the largest subset draw with
     ``draw <= value`` and its combo index, by the rule of ``subset_table``.
+    Values below the smallest draw get it too. Non-decreasing ``values``
+    (the sorted series every solver scores on) are cut into runs per draw
+    by locating the 2^n draws among them, not each value among the draws.
     """
     sums, masks = subset_table(x)
-    idx = np.searchsorted(sums, np.asarray(values, dtype=float), side="right") - 1
+    values = np.asarray(values, dtype=float)
+    if (values[:-1] <= values[1:]).all():  # False if any value is NaN
+        # draw k covers the values from the first >= sums[k] up to the
+        # first >= sums[k + 1]; the values below sums[1] all take draw 0
+        cuts = np.searchsorted(values, sums[1:], side="left")
+        counts = np.diff(cuts, prepend=0, append=values.size)
+        return np.repeat(sums, counts), np.repeat(masks, counts)
+    idx = np.searchsorted(sums, values, side="right") - 1
     idx = np.maximum(idx, 0)  # sums[0] == 0.0 is always feasible
     return sums[idx], masks[idx]
 

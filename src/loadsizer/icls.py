@@ -16,6 +16,8 @@ the whole series, which cripples the sizing on real dawn/dusk data.
 
 from __future__ import annotations
 
+import bisect
+import dataclasses
 import functools
 import itertools
 import logging
@@ -42,9 +44,10 @@ class SwitchTimes:
     lengths: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(int(m) < 1 for m in self.lengths):
+        lengths = tuple(map(int, self.lengths))
+        if lengths and min(lengths) < 1:
             raise DataError(f"every block length must be >= 1, got {self.lengths}")
-        object.__setattr__(self, "lengths", tuple(int(m) for m in self.lengths))
+        object.__setattr__(self, "lengths", lengths)
 
     @property
     def total(self) -> int:
@@ -57,7 +60,7 @@ class SwitchTimes:
 
     @classmethod
     def from_free(cls, free, total: int, n: int) -> "SwitchTimes":
-        free = tuple(int(v) for v in free)
+        free = tuple(map(int, free))
         blocks = 2**n - 1
         if len(free) != blocks - 1:
             raise DataError(f"expected {blocks - 1} free lengths for n={n}, got {len(free)}")
@@ -93,6 +96,14 @@ def upper_ones(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IclsResult:
+    """One ICLS sizing.
+
+    ``qp_solves``, ``iterations`` and ``warm_hits`` count the work behind
+    the result: for a fixed-m solve that is its one QP; ``optimize_m``
+    reports the totals over every QP of its search. A warm hit is a QP
+    whose warm working set was optimal as given.
+    """
+
     x_bar: np.ndarray = field(repr=False)
     x: np.ndarray = field(repr=False)  # total sizes, non-increasing
     m: SwitchTimes
@@ -103,6 +114,8 @@ class IclsResult:
     working_set: tuple[int, ...] = ()
     multipliers: tuple[float, ...] = ()
     iterations: int = 0
+    qp_solves: int = 1
+    warm_hits: int = 0
 
 
 def _solve_working_set(H, g, C, b, working):
@@ -113,55 +126,93 @@ def _solve_working_set(H, g, C, b, working):
         return np.linalg.solve(H, g), np.array([])
     kkt = np.zeros((n + k, n + k))
     kkt[:n, :n] = H
-    cw = C[list(working)]
+    cw = C[working]
     kkt[:n, n:] = cw.T
     kkt[n:, :n] = cw
-    rhs = np.concatenate([g, b[list(working)]])
+    rhs = np.concatenate([g, b[working]])
     sol = np.linalg.solve(kkt, rhs)
     return sol[:n], sol[n:]
 
 
-def _active_set_qp(H, g, C, b, max_iter):
+def _warm_point(H, g, C, b, warm):
+    """The EQP point on ``warm`` if it is primal feasible, else None."""
+    if len(warm) > H.shape[0]:
+        return None  # more rows than unknowns: the KKT matrix is singular
+    try:
+        x, mult = _solve_working_set(H, g, C, b, warm)
+    except np.linalg.LinAlgError:
+        return None
+    outside = np.ones(C.shape[0], dtype=bool)
+    outside[warm] = False
+    if not (C[outside] @ x <= b[outside]).all():
+        return None
+    return x, mult
+
+
+def _active_set_qp(H, g, C, b, max_iter, warm=()):
     """Minimize 0.5 x'Hx - g'x subject to Cx <= b (H strictly convex).
 
-    Classic primal active-set iteration: solve the equality-constrained
-    subproblem on the working set, step to the first blocking constraint
-    when the subproblem solution is infeasible, and drop the constraint
-    with the most negative multiplier when it is stationary.
+    Classic primal active-set iteration (Nocedal & Wright, Numerical
+    Optimization, ch. 16): solve the equality-constrained subproblem (EQP)
+    on the working set, step to the first blocking constraint when the
+    subproblem solution is infeasible, and drop the constraint with the
+    most negative multiplier when it is stationary. The working set is
+    kept sorted, so every KKT system is built in one canonical row order
+    and the answer does not depend on the path taken to its working set.
+
+    A ``warm`` working set (a neighbouring QP's) is tried first: if its
+    EQP point is feasible it is either returned, when every multiplier is
+    nonnegative, or the iteration continues from it; a singular or
+    infeasible warm start falls back to the cold start at x = 0.
+
+    Returns ``(x, working, multipliers, iterations, warm_hit)``.
     """
     n = H.shape[0]
-    x = np.zeros(n)
-    working = list(range(n))  # the nonnegativity rows are tight at x = 0
-    for iteration in range(1, max_iter + 1):
+    warm = sorted(warm)
+    start = _warm_point(H, g, C, b, warm) if warm else None
+    if start is None:
+        x = np.zeros(n)
+        working = list(range(n))  # the nonnegativity rows are tight at x = 0
+        iteration = 0
+    else:
+        x, mult = start
+        working = warm
+        if mult.size == 0 or mult.min() >= -_KKT_TOL:
+            return x, working, mult, 1, True
+        working.pop(int(np.argmin(mult)))
+        iteration = 1
+    while iteration < max_iter:
+        iteration += 1
         try:
             x_eq, mult = _solve_working_set(H, g, C, b, working)
         except np.linalg.LinAlgError as exc:
-            raise NumericError(
-                f"singular working-set system {sorted(working)}: {exc}"
-            ) from exc
+            raise NumericError(f"singular working-set system {working}: {exc}") from exc
         if np.abs(x_eq - x).max() <= 1e-13:
             if mult.size == 0 or mult.min() >= -_KKT_TOL:
-                return x_eq, working, mult, iteration
+                return x_eq, working, mult, iteration, False
             working.pop(int(np.argmin(mult)))
             continue
         d = x_eq - x
         rates = C @ d
         slack = b - C @ x
+        # rows that can block a step of length < 1 - 1e-15, in index order;
+        # the scan keeps the first row outside the working set that beats
+        # the running ratio by 1e-15
+        rows = np.flatnonzero(rates > 1e-14)
+        ratios = slack[rows] / rates[rows]
+        near = ratios < 1.0 - 1e-15
         blocking = -1
         alpha = 1.0
-        for i in range(C.shape[0]):
-            if i in working or rates[i] <= 1e-14:
-                continue
-            ratio = slack[i] / rates[i]
-            if ratio < alpha - 1e-15:
+        for i, ratio in zip(rows[near].tolist(), ratios[near].tolist()):
+            if ratio < alpha - 1e-15 and i not in working:
                 alpha = max(ratio, 0.0)
                 blocking = i
         x = x + alpha * d
         if blocking >= 0:
-            working.append(blocking)
+            bisect.insort(working, blocking)
         # alpha == 1 with no blocking constraint loops back to the
         # stationarity test on the same working set
-    raise NumericError(f"active set did not terminate; working set {sorted(working)}")
+    raise NumericError(f"active set did not terminate; working set {working}")
 
 
 class _FitContext:
@@ -174,7 +225,9 @@ class _FitContext:
         self.w = rows @ upper_ones(n)
         self.prefix = np.concatenate([[0.0], np.cumsum(values)])
         self.total_power = float(values.sum())
-        self.ident = np.eye(n)
+        # constraint rows: x_bar >= 0, then one cap per block
+        self.C = np.vstack([-np.eye(n), self.w])
+        self.b_zeros = np.zeros(n)
         self._su_cache: dict[bytes, float] = {}
 
     def utilization(self, x: np.ndarray) -> float:
@@ -191,7 +244,8 @@ class _FitContext:
             self._su_cache[key] = su
         return su
 
-    def solve(self, m: SwitchTimes, offset: int) -> IclsResult:
+    def solve(self, m: SwitchTimes, offset: int, warm: tuple[int, ...] = ()) -> IclsResult:
+        """Fit fixed block lengths; ``warm`` is a working set to try first."""
         full = self.values
         if offset < 0 or offset >= full.size:
             raise DataError(f"offset must lie in [0, {full.size}), got {offset}")
@@ -209,15 +263,15 @@ class _FitContext:
         caps = full[starts]
         H = (w * lengths[:, None]).T @ w
         g = w.T @ block_sums
-        C = np.vstack([-self.ident, w])
-        b = np.concatenate([np.zeros(n), caps])
+        b = np.concatenate([self.b_zeros, caps])
         max_iter = 50 * (n + len(m.lengths))
-        x_bar, working, mult, iterations = _active_set_qp(H, g, C, b, max_iter)
+        x_bar, working, mult, iterations, warm_hit = _active_set_qp(
+            H, g, self.C, b, max_iter, warm
+        )
         x_bar = np.where(np.abs(x_bar) < 1e-14, 0.0, x_bar)
         x = upper_ones(n) @ x_bar
         levels = w @ x_bar
         residual = full[offset:] - np.repeat(levels, m.lengths)
-        order = np.argsort(working) if working else []
         return IclsResult(
             x_bar=x_bar,
             x=x,
@@ -225,9 +279,10 @@ class _FitContext:
             residual_norm=float(np.linalg.norm(residual)),
             solar_utilization=self.utilization(x),
             offset=offset,
-            working_set=tuple(int(working[j]) for j in order),
-            multipliers=tuple(float(mult[j]) for j in order),
+            working_set=tuple(working),
+            multipliers=tuple(float(v) for v in mult),
             iterations=iterations,
+            warm_hits=int(warm_hit),
         )
 
 
@@ -303,7 +358,9 @@ def optimize_m(
     pattern search (all single-coordinate moves on the offset and the free
     block lengths, step halving from T/16 down to 1) runs from equidistant
     starts plus seeded random restarts. Only strict improvements are
-    accepted, so the utilization sequence is non-decreasing.
+    accepted, so the utilization sequence is non-decreasing. Each trial
+    QP warm-starts from the current point's working set; with the working
+    set kept in canonical order that changes only the work, not the answer.
     """
     values = sorted_series.values
     total = values.size
@@ -313,16 +370,16 @@ def optimize_m(
     context = _FitContext(values, n)
     cache: dict[tuple, IclsResult] = {}
 
-    def evaluate(k0: int, free: tuple[int, ...]) -> IclsResult:
+    def evaluate(k0: int, free: tuple[int, ...], warm: tuple[int, ...] = ()) -> IclsResult:
         key = (k0, free)
         if key not in cache:
             m = SwitchTimes.from_free(free, total - k0, n)
-            cache[key] = context.solve(m, k0)
+            cache[key] = context.solve(m, k0, warm)
         return cache[key]
 
     if _lattice_size(total, blocks) <= _EXHAUSTIVE_LIMIT:
         best = min((evaluate(k0, f) for k0, f in _lattice(total, blocks)), key=_result_key)
-        return _with_restarts(best, 1)
+        return _with_search_totals(best, 1, cache.values())
 
     rng = np.random.default_rng(seed)
     starts = [(0, SwitchTimes.equidistant(total, n).free)]
@@ -345,11 +402,11 @@ def optimize_m(
                     cand = list(current.m.free)
                     if coord > 0:
                         cand[coord - 1] += delta
-                    if ck0 < 0 or any(v < 1 for v in cand):
-                        continue
+                    if ck0 < 0 or (coord > 0 and cand[coord - 1] < 1):
+                        continue  # the other lengths are >= 1 already
                     if ck0 + sum(cand) > total - 1:
                         continue
-                    trial = evaluate(ck0, tuple(cand))
+                    trial = evaluate(ck0, tuple(cand), current.working_set)
                     if _result_key(trial) < _result_key(improved or current):
                         improved = trial
             sweeps += 1
@@ -359,19 +416,16 @@ def optimize_m(
                 current = improved
         if best is None or _result_key(current) < _result_key(best):
             best = current
-    return _with_restarts(best, len(starts))
+    return _with_search_totals(best, len(starts), cache.values())
 
 
-def _with_restarts(result: IclsResult, restarts: int) -> IclsResult:
-    return IclsResult(
-        x_bar=result.x_bar,
-        x=result.x,
-        m=result.m,
-        residual_norm=result.residual_norm,
-        solar_utilization=result.solar_utilization,
-        offset=result.offset,
+def _with_search_totals(result: IclsResult, restarts: int, solved) -> IclsResult:
+    """``result`` carrying the restart count and the work of every QP solved."""
+    solved = list(solved)
+    return dataclasses.replace(
+        result,
         restarts_used=restarts,
-        working_set=result.working_set,
-        multipliers=result.multipliers,
-        iterations=result.iterations,
+        qp_solves=len(solved),
+        iterations=sum(r.iterations for r in solved),
+        warm_hits=sum(r.warm_hits for r in solved),
     )

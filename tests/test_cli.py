@@ -88,6 +88,21 @@ def test_size_milp_three_point_fixture(runner, tmp_path):
     assert sorted(payload["x"], reverse=True) == pytest.approx([2 / 3, 1 / 3], abs=1e-9)
 
 
+def test_size_icls_reports_qp_work(runner, small_csv, tmp_path):
+    result = runner.invoke(
+        main,
+        ["size", "--method", "icls", "--n", "3", str(small_csv), "--output-dir", str(tmp_path)],
+    )
+    assert result.exit_code == 0, result.output
+    diagnostics = json.loads((tmp_path / "result_icls_n3.json").read_text())["diagnostics"]
+    solves = diagnostics["qp_solves"]
+    assert solves > 0
+    assert diagnostics["active_set_iterations"] >= solves
+    assert 0 < diagnostics["warm_start_hits"] <= solves
+    header = (tmp_path / "schedule_icls_n3.csv").read_text().splitlines()[0]
+    assert header == "timestamp,S,u_1,u_2,u_3,captured,mismatch"
+
+
 def test_schedule_command(runner, tmp_path):
     path = write_csv(tmp_path / "three.csv", np.array([300.0, 600.0, 900.0]))
     result = runner.invoke(

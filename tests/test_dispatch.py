@@ -10,6 +10,7 @@ import pytest
 
 from loadsizer import PowerSeries
 from loadsizer.dispatch import (
+    capture_best,
     combo_histogram,
     dispatch_greedy,
     subset_table,
@@ -142,6 +143,65 @@ def test_wide_dispatch_matches_bit_matrix_oracle_real_sizes():
     sums, combo = bit_matrix_oracle(values, x)
     assert (sched.combo_index == combo).all()
     assert np.allclose(x @ sched.u, sums[combo], rtol=0.0, atol=1e-12)
+
+
+def oracle_capture(values, x):
+    """``bit_matrix_oracle``'s (draw, combo) per value; a value below zero
+    takes the all-off draw, as one at zero does."""
+    sums, combo = bit_matrix_oracle(np.maximum(values, 0.0), x)
+    return sums[combo], combo
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_capture_best_sorted_input_matches_bit_matrix_oracle(n):
+    rng = np.random.default_rng(40 + n)
+    # dyadic sizes and values: draws are exact, so values land on draws and
+    # equal draws tie exactly
+    x = rng.integers(1, 16, size=n) / 16.0
+    draws = subset_table(x)[0]
+    values = np.concatenate(
+        [
+            [-0.5, -1 / 16, 0.0, 0.0],  # negatives and leading zeros
+            draws,
+            rng.integers(0, int(16 * x.sum()) + 8, size=150) / 16.0,
+        ]
+    )
+    values.sort()
+    captured, mask = capture_best(values, x)
+    want_captured, want_mask = oracle_capture(values, x)
+    assert np.array_equal(captured, want_captured)
+    assert np.array_equal(mask, want_mask)
+
+
+def test_capture_best_single_sample():
+    x = np.array([0.5, 0.25, 0.25])
+    for value in (-1.0, 0.0, 0.25, 0.6, 0.75, 2.0):
+        captured, mask = capture_best(np.array([value]), x)
+        want_captured, want_mask = oracle_capture(np.array([value]), x)
+        assert np.array_equal(captured, want_captured)
+        assert np.array_equal(mask, want_mask)
+
+
+def test_capture_best_unsorted_and_nan_take_general_path():
+    rng = np.random.default_rng(44)
+    x = rng.integers(1, 16, size=4) / 16.0
+    values = rng.integers(-4, int(16 * x.sum()) + 8, size=120) / 16.0
+    captured, mask = capture_best(values, x)
+    want_captured, want_mask = oracle_capture(values, x)
+    assert np.array_equal(captured, want_captured)
+    assert np.array_equal(mask, want_mask)
+    # a NaN anywhere fails the non-decreasing test; the general lookup
+    # ranks it above every draw and keeps the other values' answers
+    sums, masks = subset_table(x)
+    for nan_at in (0, 60, 119):
+        with_nan = np.sort(values)
+        with_nan[nan_at] = np.nan
+        captured, mask = capture_best(with_nan, x)
+        finite = ~np.isnan(with_nan)
+        want_captured, want_mask = oracle_capture(with_nan[finite], x)
+        assert np.array_equal(captured[finite], want_captured)
+        assert np.array_equal(mask[finite], want_mask)
+        assert captured[nan_at] == sums[-1] and mask[nan_at] == masks[-1]
 
 
 def test_subset_table_sorted_unique():

@@ -8,6 +8,7 @@ import pytest
 from loadsizer.errors import DataError
 from loadsizer.icls import (
     IclsResult,
+    _FitContext,
     SwitchTimes,
     build_um,
     optimize_m,
@@ -165,6 +166,102 @@ def test_feasibility_and_kkt_random_instances():
         m = SwitchTimes.from_free(tuple(free), total, n)
         result = solve_icls_fixed_m(series, m, n)
         kkt_check(series, result, n)
+
+
+# ---------------------------------------------------------------------------
+# warm-started active set
+# ---------------------------------------------------------------------------
+
+
+def random_lattice_point(rng, total, n):
+    blocks = 2**n - 1
+    k0 = int(rng.integers(0, total // 4))
+    cuts = np.sort(rng.choice(np.arange(1, total - k0), size=blocks - 1, replace=False))
+    return k0, tuple(int(v) for v in np.diff(np.concatenate([[0], cuts])))
+
+
+def neighbour_of(rng, k0, free, total):
+    """A single-coordinate move, as the pattern search makes, or None."""
+    coord = int(rng.integers(0, len(free) + 1))
+    delta = int(rng.choice([-1, 1])) * int(rng.choice([1, 2, 5, 12]))
+    k0_new, free_new = k0, list(free)
+    if coord == 0:
+        k0_new += delta
+    else:
+        free_new[coord - 1] += delta
+    if k0_new < 0 or min(free_new) < 1 or k0_new + sum(free_new) > total - 1:
+        return None
+    return k0_new, tuple(free_new)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_warm_start_matches_cold_start_bit_for_bit(n):
+    rng = np.random.default_rng(60 + n)
+    total = 240
+    values = np.sort(rng.uniform(0.01, 1.0, size=total) ** 1.5)
+    context = _FitContext(values, n)
+
+    def fixed(k0, free):
+        return SwitchTimes.from_free(free, total - k0, n), k0
+
+    pairs = hits = 0
+    while pairs < 60:
+        k0, free = random_lattice_point(rng, total, n)
+        moved = neighbour_of(rng, k0, free, total)
+        if moved is None:
+            continue
+        neighbour = context.solve(*fixed(*moved))
+        cold = context.solve(*fixed(k0, free))
+        warm = context.solve(*fixed(k0, free), warm=neighbour.working_set)
+        assert warm.x_bar.tobytes() == cold.x_bar.tobytes()
+        assert warm.working_set == cold.working_set
+        assert warm.multipliers == cold.multipliers
+        assert cold.warm_hits == 0
+        pairs += 1
+        hits += warm.warm_hits
+    assert 0 < hits < pairs  # both the one-solve hit and the longer paths ran
+
+
+def qp_matrices(values, m, offset, n):
+    """The solver's QP rebuilt from dense matrices, as in ``kkt_check``."""
+    from loadsizer.ecls import build_switch_matrix
+
+    G = build_um(m, n) @ upper_ones(n)
+    s = values[offset:]
+    w = build_switch_matrix(n, block_length=1).distinct_rows @ upper_ones(n)
+    starts = np.concatenate([[0], np.cumsum(m.lengths)[:-1]]).astype(int)
+    C = np.vstack([-np.eye(n), w])
+    b = np.concatenate([np.zeros(n), s[starts]])
+    return G.T @ G, G.T @ s, C, b
+
+
+def test_warm_start_falls_back_to_cold_start():
+    n = 3
+    rng = np.random.default_rng(71)
+    total = 120
+    values = np.sort(rng.uniform(0.01, 1.0, size=total))
+    context = _FitContext(values, n)
+    m = SwitchTimes.from_free((10, 12, 20, 15, 18, 22), total - 5, n)
+    cold = context.solve(m, 5)
+    # n + 1 rows in n unknowns: the KKT matrix is singular
+    singular = context.solve(m, 5, warm=tuple(range(n + 1)))
+    assert singular.x_bar.tobytes() == cold.x_bar.tobytes()
+    assert singular.warm_hits == 0
+    # a working set whose equality-constrained point breaks another row
+    H, g, C, b = qp_matrices(values, m, 5, n)
+    infeasible = None
+    for row in range(n, C.shape[0]):
+        kkt = np.block([[H, C[[row]].T], [C[[row]], np.zeros((1, 1))]])
+        x = np.linalg.solve(kkt, np.concatenate([g, b[[row]]]))[:n]
+        others = np.arange(C.shape[0]) != row
+        if (C[others] @ x > b[others] + 1e-9).any():
+            infeasible = (row,)
+            break
+    assert infeasible is not None
+    fallback = context.solve(m, 5, warm=infeasible)
+    assert fallback.x_bar.tobytes() == cold.x_bar.tobytes()
+    assert fallback.warm_hits == 0
+    kkt_check(sorted_series(values), fallback, n)
 
 
 # ---------------------------------------------------------------------------
