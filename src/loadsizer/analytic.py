@@ -22,9 +22,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dispatch import combo_states
 from .errors import DataError, NumericError
 
 _EDGE_GUARD = 1e-6  # fraction of y_max kept away from the arcsin edge
+_TWO_LOAD_MAX_ITER = 20000
 
 
 @dataclass(frozen=True)
@@ -88,13 +90,11 @@ def _solution(model, base_sizes, iterations: int, diagnostics: dict) -> Analytic
 
 
 def combination_levels(unit_sizes) -> np.ndarray:
-    """Sorted nonzero combination levels: subset sums selected by the
-    reversed binary digits of the combination index."""
+    """Sorted nonzero combination levels: the subset sums of the units."""
     sizes = np.asarray(unit_sizes, dtype=float).ravel()
     n = sizes.size
-    masks = np.arange(1, 2**n)
-    bits = ((masks[:, None] >> np.arange(n)[None, :]) & 1).astype(float)
-    return np.sort(bits @ sizes)
+    states = np.ascontiguousarray(combo_states(np.arange(1, 2**n), n).T, dtype=float)
+    return np.sort(states @ sizes)
 
 
 def solve_single_load(model) -> AnalyticSolution:
@@ -206,9 +206,7 @@ def _project_two(y: np.ndarray, y_cap: float) -> np.ndarray:
 def solve_two_load(
     model,
     init: tuple[float, float] = (0.2, 0.5),
-    step: float = 1e-4,
     tol: float = 1e-7,
-    max_iter: int = 20000,
 ) -> AnalyticSolution:
     """Two-load optimum by projected gradient ascent on the staircase area.
 
@@ -224,10 +222,10 @@ def solve_two_load(
     """
     y_cap = model.y_max * (1 - _EDGE_GUARD)
     y = _project_two(np.asarray(init, dtype=float), y_cap)
-    s = step
+    s = 1e-4
     area = _area2(model, y[0], y[1])
     stop = None
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _TWO_LOAD_MAX_ITER + 1):
         g = two_load_gradient(model, y[0], y[1])
         if np.linalg.norm(g) < tol:
             stop = "tol"
@@ -247,7 +245,7 @@ def solve_two_load(
                 break
     if stop is None:
         raise NumericError(
-            f"two-load ascent did not converge in {max_iter} iterations; "
+            f"two-load ascent did not converge in {_TWO_LOAD_MAX_ITER} iterations; "
             f"last iterate {y.tolist()}"
         )
     y1, y2 = float(y[0]), float(y[1])
@@ -287,14 +285,14 @@ def _fd_gradient(model, sizes: np.ndarray, h: float) -> np.ndarray:
     return g
 
 
-def _ascend_n(model, start: np.ndarray, cap: float, tol: float, max_iter: int):
+def _ascend_n(model, start: np.ndarray, cap: float):
     y = np.maximum(_project_simplex_cap(start.copy(), cap), 1e-9)
     h = 1e-7 * model.y_max
     s = 1e-4
     area = area_n(model, y)
-    for _ in range(max_iter):
+    for _ in range(5000):
         g = _fd_gradient(model, y, h)
-        if np.linalg.norm(g) < tol:
+        if np.linalg.norm(g) < 1e-6:
             break
         cand = np.maximum(_project_simplex_cap(y + s * g, cap), 1e-12)
         cand_area = area_n(model, cand)
@@ -313,8 +311,6 @@ def solve_n_load(
     n: int,
     multistarts: int = 16,
     seed: int = 42,
-    tol: float = 1e-6,
-    max_iter: int = 5000,
 ) -> AnalyticSolution:
     """Multistart projected gradient ascent over n unit sizes (n <= 4).
 
@@ -323,27 +319,27 @@ def solve_n_load(
     and seeded uniform draws from the feasible simplex. Ties between starts
     break toward the lexicographically smallest sorted size vector.
 
-    Each level's sizes are memoized on ``(model, n, multistarts, seed, tol,
-    max_iter)``, so solving n = 2, 3, 4 in turn ascends each level once;
-    the arch must therefore be hashable and is taken as immutable.
+    Each level's sizes are memoized on ``(model, n, multistarts, seed)``,
+    so solving n = 2, 3, 4 in turn ascends each level once; the arch must
+    therefore be hashable and is taken as immutable.
     """
     if not 1 <= n <= 4:
         raise DataError(f"n must be in 1..4, got {n}")
     if multistarts < 1:
         raise DataError("multistarts must be >= 1")
-    sizes, n_starts = _n_load_sizes(model, n, multistarts, seed, tol, max_iter)
+    sizes, n_starts = _n_load_sizes(model, n, multistarts, seed)
     return _solution(model, sizes, n_starts, {"multistarts": n_starts, "seed": seed})
 
 
 @functools.lru_cache(maxsize=32)
 def _n_load_sizes(
-    model, n: int, multistarts: int, seed: int, tol: float, max_iter: int
+    model, n: int, multistarts: int, seed: int
 ) -> tuple[tuple[float, ...], int]:
     """Sorted best unit sizes of ``solve_n_load`` and the number of starts."""
     cap = model.y_max * (1 - _EDGE_GUARD)
     starts: list[np.ndarray] = [np.full(n, 0.8 * cap / n)]
     if n > 1:
-        prev, _ = _n_load_sizes(model, n - 1, multistarts, seed, tol, max_iter)
+        prev, _ = _n_load_sizes(model, n - 1, multistarts, seed)
         pad = min(1e-4 * model.y_max, 0.5 * (cap - sum(prev)))
         starts.append(np.array(sorted(list(prev) + [max(pad, 1e-9)])))
     rng = np.random.default_rng(seed + 1000 * n)
@@ -353,7 +349,7 @@ def _n_load_sizes(
 
     best: tuple[float, tuple[float, ...], np.ndarray] | None = None
     for start in starts:
-        y, area = _ascend_n(model, start, cap, tol, max_iter)
+        y, area = _ascend_n(model, start, cap)
         key = (-area, tuple(np.sort(y)))
         if best is None or key < best[:2]:
             best = (key[0], key[1], y)

@@ -269,9 +269,7 @@ def schedule(ctx, input_csv, sizes, **_):
     """Dispatch fixed sizes over the series and write the schedule CSV."""
     _apply_config(ctx, ctx.params.get("config"))
     p = ctx.params
-    x = np.array([float(v) for v in sizes.split(",") if v.strip()])
-    if x.size == 0:
-        raise UsageError("--sizes must list at least one load")
+    x = _parse_sizes(sizes)
     series = _ingest(input_csv, p["resample"])
     sched = dispatch_greedy(series, x)
     report = utilization(series, sched, x)
@@ -331,12 +329,29 @@ def compare(ctx, input_csv, n_range, clear_day, **_):
         sys.exit(3)
 
 
+def _parse_sizes(text: str) -> np.ndarray:
+    try:
+        x = np.array([float(v) for v in text.split(",") if v.strip()])
+    except ValueError:
+        raise UsageError(f"--sizes must be comma-separated numbers, got {text!r}") from None
+    if x.size == 0:
+        raise UsageError("--sizes must list at least one load")
+    return x
+
+
 def _parse_range(text: str) -> list[int]:
     text = text.strip()
-    if "-" in text and "," not in text:
-        lo, hi = text.split("-", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return sorted({int(v) for v in text.split(",") if v.strip()})
+    try:
+        if "-" in text and "," not in text:
+            lo, hi = text.split("-", 1)
+            ns = list(range(int(lo), int(hi) + 1))
+        else:
+            ns = sorted({int(v) for v in text.split(",") if v.strip()})
+    except ValueError:
+        ns = []
+    if not ns:
+        raise UsageError(f"--n-range must be a range like 2-6 or a list like 2,3,4, got {text!r}")
+    return ns
 
 
 def _write_comparison(rows: list[SizingResult], n_max: int, path: Path) -> None:
@@ -377,7 +392,7 @@ def histogram(ctx, input_csv, sizes, bins, **_):
     """Occurrence counts of each switch combination per time-of-day bin."""
     _apply_config(ctx, ctx.params.get("config"))
     p = ctx.params
-    x = np.array([float(v) for v in sizes.split(",") if v.strip()])
+    x = _parse_sizes(sizes)
     series = _ingest(input_csv, p["resample"])
     sched = dispatch_greedy(series, x)
     hist = combo_histogram(series, sched, bins_per_day=bins)

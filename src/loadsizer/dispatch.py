@@ -3,7 +3,8 @@
 Each timestep independently switches on the subset of loads with the
 largest total draw that still fits under the available power. Subsets are
 indexed by the binary order ``d = sum_i u_i * 2^(n-i)`` (load 1 is the most
-significant bit), so ``combo_index`` 0 means all off.
+significant bit), so ``combo_index`` 0 means all off. Other modules pack
+and unpack this encoding only through ``combo_states`` and ``combo_index``.
 """
 
 from __future__ import annotations
@@ -66,6 +67,20 @@ class ComboHistogram:
     bins: np.ndarray = field(repr=False)  # (bins_per_day, 2^n)
     bins_per_day: int
     n: int
+
+
+def combo_states(combo, n: int) -> np.ndarray:
+    """(n, len(combo)) uint8 on/off matrix of combo indices; row i is load i + 1."""
+    combo = np.asarray(combo, dtype=np.int64)
+    shifts = n - 1 - np.arange(n)
+    return ((combo[None, :] >> shifts[:, None]) & 1).astype(np.uint8)
+
+
+def combo_index(u) -> np.ndarray:
+    """Combo index of every column of an (n, T) on/off matrix."""
+    u = np.asarray(u, dtype=np.int64)
+    shifts = u.shape[0] - 1 - np.arange(u.shape[0])
+    return (u << shifts[:, None]).sum(axis=0)
 
 
 @functools.lru_cache(maxsize=8)
@@ -135,12 +150,10 @@ def dispatch_greedy(series: PowerSeries, x) -> SwitchSchedule:
     n = x.size
     if n < 1 or n > _MAX_LOADS:
         raise DataError(f"need 1..{_MAX_LOADS} loads, got {n}")
-    if (x <= 0).any():
-        raise DataError(f"load sizes must be positive, got {x.tolist()}")
+    if not (np.isfinite(x) & (x > 0)).all():
+        raise DataError(f"load sizes must be positive and finite, got {x.tolist()}")
     _, chosen = capture_best(series.values, x)
-    shifts = n - 1 - np.arange(n)
-    u = ((chosen[None, :] >> shifts[:, None]) & 1).astype(np.uint8)
-    return SwitchSchedule(u=u, combo_index=chosen)
+    return SwitchSchedule(u=combo_states(chosen, n), combo_index=chosen)
 
 
 def utilization(series: PowerSeries, schedule: SwitchSchedule, x) -> UtilizationReport:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dispatch import capture_best
+from .dispatch import capture_best, combo_index, combo_states
 from .errors import DataError, NumericError
 from .results import format_float
 from .timeseries import SortedSeries
@@ -36,8 +36,7 @@ def binary_order(u) -> int:
     u = np.asarray(u)
     if not np.isin(u, (0, 1)).all():
         raise DataError(f"switch vector entries must be 0/1, got {u.tolist()}")
-    n = u.size
-    return int(sum(int(u[i]) << (n - 1 - i) for i in range(n)))
+    return int(combo_index(u.reshape(-1, 1))[0])
 
 
 @dataclass(frozen=True)
@@ -63,9 +62,7 @@ def build_switch_matrix(n: int, block_length: int = DEFAULT_BLOCK_LENGTH) -> Swi
         raise DataError(f"n must be in 1..12, got {n}")
     if block_length < 1:
         raise DataError("block_length must be >= 1")
-    d = np.arange(1, 2**n)
-    shifts = n - 1 - np.arange(n)
-    rows = ((d[:, None] >> shifts[None, :]) & 1).astype(float)
+    rows = np.ascontiguousarray(combo_states(np.arange(1, 2**n), n).T, dtype=float)
     rows.flags.writeable = False
     return SwitchMatrix(n=n, block_length=block_length, distinct_rows=rows)
 

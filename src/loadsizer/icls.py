@@ -34,6 +34,7 @@ from .timeseries import SortedSeries
 logger = logging.getLogger(__name__)
 
 _EXHAUSTIVE_LIMIT = 4500  # enumerate the (offset, m) lattice when this small
+_MAX_SWEEPS = 400  # pattern-search sweeps per start
 _KKT_TOL = 1e-10
 
 
@@ -228,21 +229,13 @@ class _FitContext:
         # constraint rows: x_bar >= 0, then one cap per block
         self.C = np.vstack([-np.eye(n), self.w])
         self.b_zeros = np.zeros(n)
-        self._su_cache: dict[bytes, float] = {}
 
     def utilization(self, x: np.ndarray) -> float:
         positive = x[x > 1e-12]
         if positive.size == 0:
             return 0.0
-        # exact bytes: solutions sit on capture discontinuities (caps equal
-        # sample values), so rounding would glue distinct capture sets
-        key = positive.tobytes()
-        su = self._su_cache.get(key)
-        if su is None:
-            captured, _ = capture_best(self.values, positive)
-            su = float(captured.sum()) / self.total_power
-            self._su_cache[key] = su
-        return su
+        captured, _ = capture_best(self.values, positive)
+        return float(captured.sum()) / self.total_power
 
     def solve(self, m: SwitchTimes, offset: int, warm: tuple[int, ...] = ()) -> IclsResult:
         """Fit fixed block lengths; ``warm`` is a working set to try first."""
@@ -348,7 +341,6 @@ def optimize_m(
     sorted_series: SortedSeries,
     n: int,
     restarts: int = 4,
-    max_iter: int = 400,
     seed: int = 42,
 ) -> IclsResult:
     """Integer search over the all-off dwell and switch blocks, maximizing
@@ -394,7 +386,7 @@ def optimize_m(
         current = evaluate(k0, free)
         step = max(total // 16, 1)
         sweeps = 0
-        while step >= 1 and sweeps < max_iter:
+        while step >= 1 and sweeps < _MAX_SWEEPS:
             improved = None
             for coord in range(blocks):  # coord 0 is the offset
                 for delta in (step, -step):

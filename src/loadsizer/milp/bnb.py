@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..dispatch import capture_best
+from ..dispatch import capture_best, combo_index, combo_states
 from ..errors import DataError, NumericError
 from .instance import MilpInstance
 from .relaxation import solve_lp_relaxation
@@ -31,11 +31,15 @@ _EQ_TOL = 1e-12
 class MilpSolution:
     x: np.ndarray = field(repr=False)
     u: np.ndarray = field(repr=False)  # (n, T) binary
-    y: np.ndarray = field(repr=False)
     objective: float = np.nan  # total mismatch sum(s) - sum(y)
     gap: float = np.nan
     nodes_explored: int = 0
     status: str = "optimal"  # optimal | gap_limit | node_limit
+
+    @property
+    def y(self) -> np.ndarray:
+        """Committed demand per load and step: the load's size where it is on."""
+        return self.u * self.x[:, None]
 
     @property
     def capture(self) -> float:
@@ -64,33 +68,27 @@ def best_sizes_for_schedule(instance: MilpInstance, u: np.ndarray) -> tuple[np.n
     returned (lexicographic second solve), which keeps never-used loads at
     zero size.
     """
-    n, T = instance.n, instance.horizon
-    s = instance.s
+    n = instance.n
     counts = u.sum(axis=1).astype(float)
-    budgets: dict[tuple[int, ...], float] = {}
-    for t in range(T):
-        pattern = tuple(np.flatnonzero(u[:, t]))
-        if not pattern:
-            continue
-        budgets[pattern] = min(budgets.get(pattern, np.inf), float(s[t]))
-    if not budgets:
+    # one row per pattern in order of first use, capped by its lowest sample
+    patterns, first_use, which = np.unique(combo_index(u), return_index=True, return_inverse=True)
+    rhs = np.full(patterns.size, np.inf)
+    np.minimum.at(rhs, which, instance.s)
+    order = np.argsort(first_use)
+    order = order[patterns[order] > 0]  # the all-off pattern caps nothing
+    if order.size == 0:
         return np.zeros(n), 0.0
-    rows = []
-    rhs = []
-    for pattern, budget in budgets.items():
-        row = np.zeros(n)
-        row[list(pattern)] = 1.0
-        rows.append(row)
-        rhs.append(budget)
-    first = solve_lp(-counts, a_ub=np.vstack(rows), b_ub=np.array(rhs))
+    rows = combo_states(patterns[order], n).T
+    rhs = rhs[order]
+    first = solve_lp(-counts, a_ub=rows, b_ub=rhs)
     if not first.ok:
         raise NumericError(f"size LP came back {first.status}")
     capture = -first.fun
     # second pass: minimal total size at the optimal capture
     second = solve_lp(
         np.ones(n),
-        a_ub=np.vstack(rows),
-        b_ub=np.array(rhs),
+        a_ub=rows,
+        b_ub=rhs,
         a_eq=counts[None, :],
         b_eq=[capture],
     )
@@ -99,15 +97,10 @@ def best_sizes_for_schedule(instance: MilpInstance, u: np.ndarray) -> tuple[np.n
 
 
 def _dispatch(instance: MilpInstance, x: np.ndarray) -> tuple[np.ndarray, float]:
-    """Best schedule for sizes ``x`` and its capture; zero-size loads stay off."""
-    u = np.zeros((instance.n, instance.horizon), dtype=np.uint8)
-    rows = np.flatnonzero(x > 1e-12)
-    if rows.size == 0:
-        return u, 0.0
-    draws, masks = capture_best(instance.s, x[rows])
-    shifts = rows.size - 1 - np.arange(rows.size)
-    u[rows] = (masks[None, :] >> shifts[:, None]) & 1
-    return u, float(draws.sum())
+    """Best schedule for sizes ``x`` and its capture. Sizes ``<= 1e-12``
+    count as zero, and the tie rule (fewest loads on) keeps such loads off."""
+    draws, masks = capture_best(instance.s, np.where(x > 1e-12, x, 0.0))
+    return combo_states(masks, instance.n), float(draws.sum())
 
 
 def _repair(instance: MilpInstance, x_start: np.ndarray, rounds: int = 4):
@@ -129,8 +122,7 @@ def _repair(instance: MilpInstance, x_start: np.ndarray, rounds: int = 4):
     # re-dispatch the polished sizes so u is the best schedule for them
     x = best[0]
     u, capture = _dispatch(instance, x)
-    y = u * x[:, None]
-    return x, u, y, instance.total_power - capture
+    return x, u, instance.total_power - capture
 
 
 def _coordinate_polish(instance: MilpInstance, x_start: np.ndarray) -> np.ndarray:
@@ -174,9 +166,8 @@ class _Incumbent:
         self.sum_x = np.inf
         self.x: np.ndarray | None = None
         self.u: np.ndarray | None = None
-        self.y: np.ndarray | None = None
 
-    def offer(self, x, u, y, objective) -> bool:
+    def offer(self, x, u, objective) -> bool:
         better = objective < self.objective - _EQ_TOL
         tie_smaller = (
             abs(objective - self.objective) <= _EQ_TOL and x.sum() < self.sum_x - _EQ_TOL
@@ -186,7 +177,6 @@ class _Incumbent:
             self.sum_x = float(x.sum())
             self.x = np.asarray(x, dtype=float).copy()
             self.u = np.asarray(u, dtype=np.uint8).copy()
-            self.y = np.asarray(y, dtype=float).copy()
             return True
         return False
 
@@ -208,7 +198,7 @@ def _branch_or_offer(
         return i_pick, t_pick
     u = np.rint(relax.u).astype(np.uint8)
     x, capture = best_sizes_for_schedule(instance, u)
-    incumbent.offer(x, u, u * x[:, None], instance.total_power - capture)
+    incumbent.offer(x, u, instance.total_power - capture)
     return None
 
 
@@ -287,9 +277,7 @@ def branch_and_bound(
 
     if incumbent.x is None:
         # no feasible incumbent ever produced: fall back to everything off
-        incumbent.offer(
-            np.zeros(n), np.zeros((n, T), dtype=np.uint8), np.zeros((n, T)), instance.total_power
-        )
+        incumbent.offer(np.zeros(n), np.zeros((n, T), dtype=np.uint8), instance.total_power)
     # a mismatch is never negative, so a rounded-below-zero bound counts as 0
     lower = max(best_bound, 0.0)
     gap = max(0.0, (incumbent.objective - lower) / max(1e-9, incumbent.objective))
@@ -298,7 +286,6 @@ def branch_and_bound(
     return MilpSolution(
         x=incumbent.x,
         u=incumbent.u,
-        y=incumbent.y,
         objective=incumbent.objective,
         gap=gap,
         nodes_explored=nodes_explored,

@@ -78,7 +78,6 @@ def solve_lp(
     b_ub=None,
     a_eq=None,
     b_eq=None,
-    max_iter: int | None = None,
 ) -> LpResult:
     c = np.asarray(c, dtype=float).ravel()
     n = c.size
@@ -118,7 +117,7 @@ def solve_lp(
         tableau[i, col] = 1.0
         basis[i] = col
 
-    max_iter = max_iter or max(2000, 50 * (m + ncols))
+    max_iter = max(2000, 50 * (m + ncols))  # pivots per phase
 
     # phase 1: minimize the artificial sum
     if n_art:

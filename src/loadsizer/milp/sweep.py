@@ -27,7 +27,6 @@ def downsample_sweep(
     sorted_series: SortedSeries,
     n: int,
     ratios,
-    gap_tol: float = 1e-6,
     node_limit: int = 200,
 ) -> list[SweepRow]:
     """Build and solve one instance per downsampling ratio.
@@ -40,7 +39,7 @@ def downsample_sweep(
         reduced = downsample_uniform(sorted_series, int(ratio))
         t0 = time.perf_counter()
         instance = build_instance(reduced.values, n)
-        solution = branch_and_bound(instance, gap_tol=gap_tol, node_limit=node_limit)
+        solution = branch_and_bound(instance, gap_tol=1e-6, node_limit=node_limit)
         runtime = time.perf_counter() - t0
         positive = solution.x[solution.x > 1e-12]
         su = dispatch_su(sorted_series.values, positive) if positive.size else 0.0

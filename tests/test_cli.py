@@ -237,6 +237,29 @@ def test_exit_codes_via_subprocess(tmp_path):
     assert "error" in data.stderr.lower()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["schedule", "--sizes", "a,b"],
+        ["schedule", "--sizes", ""],
+        ["histogram", "--sizes", "a,b"],
+        ["histogram", "--sizes", ""],
+        ["compare", "--n-range", "2-x"],
+        ["compare", "--n-range", ""],
+    ],
+)
+def test_malformed_lists_are_usage_errors(tmp_path, argv):
+    path = write_csv(tmp_path / "three.csv", np.array([300.0, 600.0, 900.0]))
+    run = subprocess.run(
+        [sys.executable, "-m", "loadsizer.cli", *argv, "--output-dir", str(tmp_path), str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 2, run.stderr
+    assert run.stderr.startswith("usage error: ")
+    assert "Traceback" not in run.stderr
+
+
 def test_denormalize_reports_watts(runner, tmp_path):
     path = write_csv(tmp_path / "three.csv", np.array([300.0, 600.0, 900.0]))
     result = runner.invoke(

@@ -12,12 +12,15 @@ from loadsizer import PowerSeries
 from loadsizer.dispatch import (
     capture_best,
     combo_histogram,
+    combo_index,
+    combo_states,
     dispatch_greedy,
     subset_table,
     utilization,
     write_histogram_csv,
     write_schedule_csv,
 )
+from loadsizer.ecls import binary_order, build_switch_matrix
 from loadsizer.errors import DataError
 
 
@@ -74,6 +77,12 @@ def test_all_off_and_never_exceed():
     report = utilization(series, sched, x)
     assert report.solar_utilization == 0.0
     assert (report.mismatch >= -1e-12).all()
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.1, np.nan, np.inf])
+def test_dispatch_rejects_non_positive_or_non_finite_sizes(bad):
+    with pytest.raises(DataError, match="positive and finite"):
+        dispatch_greedy(make_series([0.5, 0.9]), np.array([0.4, bad]))
 
 
 def test_matches_exhaustive_oracle_random():
@@ -286,3 +295,31 @@ def test_histogram_csv_has_nonzero_combos_only(tmp_path):
     rows = path.read_text().strip().splitlines()[1:]
     combos = {int(r.split(",")[1]) for r in rows}
     assert combos == {1, 2, 3}
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_combo_states_and_index_round_trip_every_combination(n):
+    combos = np.arange(2**n)
+    states = combo_states(combos, n)
+    assert states.shape == (n, 2**n) and states.dtype == np.uint8
+    assert np.array_equal(combo_index(states), combos)
+    # load 1 is the most significant bit: d = sum_i u_i * 2^(n - i)
+    weights = 2 ** (n - 1 - np.arange(n))
+    assert np.array_equal(weights @ states.astype(np.int64), combos)
+
+
+def test_combo_states_and_index_round_trip_n20():
+    rng = np.random.default_rng(20)
+    combos = rng.integers(0, 2**20, size=500)
+    states = combo_states(combos, 20)
+    assert np.array_equal(combo_index(states), combos)
+    u = rng.integers(0, 2, size=(20, 300)).astype(np.uint8)
+    assert np.array_equal(combo_states(combo_index(u), 20), u)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_combo_helpers_agree_with_switch_matrix_and_binary_order(n):
+    rows = build_switch_matrix(n, 1).distinct_rows
+    assert np.array_equal(rows, combo_states(np.arange(1, 2**n), n).T)
+    orders = [binary_order(row.astype(int)) for row in rows]
+    assert orders == combo_index(rows.T).tolist() == list(range(1, 2**n))

@@ -22,7 +22,7 @@ from loadsizer.milp import (
     downsample_sweep,
     solve_lp_relaxation,
 )
-from loadsizer.milp.bnb import best_sizes_for_schedule
+from loadsizer.milp.bnb import _dispatch, best_sizes_for_schedule
 from loadsizer.timeseries import SortedSeries, downsample_uniform, sort_ascending
 
 
@@ -326,6 +326,29 @@ def test_vertex_oracle_matches_schedule_enumeration():
         oracle_obj, oracle_capture = exhaustive_optimum(s, n)
         assert oracle_capture == pytest.approx(best, abs=1e-8)
         assert oracle_obj == pytest.approx(s.sum() - best, abs=1e-8)
+
+
+@pytest.mark.parametrize("zero_row", [0, 1, 2])
+def test_dispatch_keeps_zero_size_load_off(zero_row):
+    rng = np.random.default_rng(11 + zero_row)
+    s = np.sort(rng.uniform(0.05, 1.0, size=40))
+    positive = np.array([0.41, 0.23])
+    x = np.insert(positive, zero_row, [0.0])
+    x_tiny = np.insert(positive, zero_row, [1e-13])
+    inst = build_instance(s, 3)
+    u, capture = _dispatch(inst, x)
+    assert not u[zero_row].any()
+    alone_u, alone_capture = _dispatch(build_instance(s, 2), positive)
+    assert np.array_equal(np.delete(u, zero_row, axis=0), alone_u)
+    assert capture == alone_capture
+    tiny_u, tiny_capture = _dispatch(inst, x_tiny)  # sizes <= 1e-12 count as zero
+    assert np.array_equal(tiny_u, u) and tiny_capture == capture
+
+
+def test_dispatch_all_zero_sizes_is_all_off():
+    inst = build_instance([0.2, 0.5, 0.9], 2)
+    u, capture = _dispatch(inst, np.zeros(2))
+    assert u.shape == (2, 3) and not u.any() and capture == 0.0
 
 
 def test_instance_and_solution_json():
