@@ -4,10 +4,10 @@ Captured energy for a set of combination levels under the arch is the
 staircase area ``2 * sum_i t(l_i) * (l_i - l_{i-1})`` where ``t(y)`` is the
 positive half-width of the arch at level ``y`` and the levels are the
 sorted nonzero subset sums of the unit sizes. The single-load optimum
-solves the stationarity condition ``t(y) + y * t'(y) = 0`` by bisection;
-two loads use projected gradient ascent with the closed-form Jacobian;
-general n uses multistart projected ascent with finite-difference
-gradients.
+solves the stationarity condition ``t(y) + y * t'(y) = 0`` by bisection.
+Two or more loads use one projected gradient ascent with the exact
+gradient of the staircase area, which for two loads is the closed-form
+Jacobian; ``solve_n_load`` runs it from several starts.
 
 All routines accept any arch exposing ``forward``, ``half_width``,
 ``half_width_slope``, ``t_max`` and ``y_max`` in the shape of
@@ -26,7 +26,7 @@ from .dispatch import combo_states
 from .errors import DataError, NumericError
 
 _EDGE_GUARD = 1e-6  # fraction of y_max kept away from the arcsin edge
-_TWO_LOAD_MAX_ITER = 20000
+_ASCENT_MAX_ITER = 20000
 
 
 @dataclass(frozen=True)
@@ -72,10 +72,7 @@ def _guard_band(model) -> tuple[float, float]:
 
 def _solution(model, base_sizes, iterations: int, diagnostics: dict) -> AnalyticSolution:
     sizes = np.sort(np.asarray(base_sizes, dtype=float))
-    levels = combination_levels(sizes)
-    widths = np.asarray(model.half_width(levels), dtype=float).ravel()
-    prev = np.concatenate([[0.0], levels[:-1]])
-    area = float(2.0 * np.sum(widths * (levels - prev)))
+    levels, _, widths, area = _staircase(model, sizes)
     total = total_energy(model)
     return AnalyticSolution(
         base_sizes=tuple(float(v) for v in sizes),
@@ -89,12 +86,30 @@ def _solution(model, base_sizes, iterations: int, diagnostics: dict) -> Analytic
     )
 
 
-def combination_levels(unit_sizes) -> np.ndarray:
-    """Sorted nonzero combination levels: the subset sums of the units."""
-    sizes = np.asarray(unit_sizes, dtype=float).ravel()
+def _combinations(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nonzero subset sums of the units, ascending, and each one's on/off row.
+
+    Equal sums put the higher combination index first: for two equal units,
+    load 1's level first, as in the closed-form two-load Jacobian.
+    """
     n = sizes.size
     states = np.ascontiguousarray(combo_states(np.arange(1, 2**n), n).T, dtype=float)
-    return np.sort(states @ sizes)
+    sums = states @ sizes
+    order = sums.size - 1 - np.argsort(sums[::-1], kind="stable")
+    return sums[order], states[order]
+
+
+def combination_levels(unit_sizes) -> np.ndarray:
+    """Sorted nonzero combination levels: the subset sums of the units."""
+    return _combinations(np.asarray(unit_sizes, dtype=float).ravel())[0]
+
+
+def _staircase(model, sizes: np.ndarray):
+    """Levels, their on/off rows, half-widths and the staircase area."""
+    levels, members = _combinations(sizes)
+    widths = np.asarray(model.half_width(levels), dtype=float).ravel()
+    area = float(2.0 * np.sum(widths * np.diff(levels, prepend=0.0)))
+    return levels, members, widths, area
 
 
 def solve_single_load(model) -> AnalyticSolution:
@@ -156,108 +171,30 @@ def area_n(model, unit_sizes) -> float:
         raise DataError("need at least one unit size")
     if (sizes <= 0).any():
         raise DataError(f"unit sizes must be positive, got {sizes.tolist()}")
-    levels = combination_levels(sizes)
-    if levels[-1] >= model.y_max:
-        raise DataError(
-            f"combination level {levels[-1]:.6g} reaches y_max {model.y_max:.6g}"
-        )
-    widths = np.asarray(model.half_width(levels), dtype=float).ravel()
-    prev = np.concatenate([[0.0], levels[:-1]])
-    return float(2.0 * np.sum(widths * (levels - prev)))
+    top = sizes.sum()
+    if top >= model.y_max:
+        raise DataError(f"combination level {top:.6g} reaches y_max {model.y_max:.6g}")
+    return _staircase(model, sizes)[3]
 
 
-def _area2(model, y1: float, y2: float) -> float:
-    t1 = model.half_width(y1)
-    t2 = model.half_width(y2)
-    t3 = model.half_width(y1 + y2)
-    return 2.0 * (y1 * t1 + (y2 - y1) * t2 + y1 * t3)
+def _area_gradient(model, sizes: np.ndarray) -> np.ndarray:
+    """Exact gradient of the staircase area with respect to the unit sizes.
+
+    Over the sorted levels, ``d area / d l_k = 2 * (t'(l_k) * (l_k - l_{k-1})
+    + t(l_k) - t(l_{k+1}))`` with ``t(l_{N+1}) = 0``; a unit's gradient sums
+    that over the levels it is on in.
+    """
+    levels, members, widths, _ = _staircase(model, sizes)
+    slopes = np.asarray(model.half_width_slope(levels), dtype=float).ravel()
+    above = np.append(widths[1:], 0.0)
+    per_level = 2.0 * (slopes * np.diff(levels, prepend=0.0) + widths - above)
+    return per_level @ members
 
 
 def two_load_gradient(model, y1: float, y2: float) -> np.ndarray:
-    """Closed-form gradient of the two-load staircase area at (y1, y2)."""
-    t1 = model.half_width(y1)
-    t2 = model.half_width(y2)
-    t3 = model.half_width(y1 + y2)
-    d1 = model.half_width_slope(y1)
-    d2 = model.half_width_slope(y2)
-    d3 = model.half_width_slope(y1 + y2)
-    g1 = t1 + y1 * d1 - t2 + t3 + y1 * d3
-    g2 = (y2 - y1) * d2 + t2 + y1 * d3
-    return 2.0 * np.array([g1, g2])
-
-
-def _project_two(y: np.ndarray, y_cap: float) -> np.ndarray:
-    """Euclidean projection onto {0 <= y1 <= y2 <= cap, y1 + y2 <= cap}."""
-    y1, y2 = float(y[0]), float(y[1])
-    if y1 > y2:  # ordering plane first
-        y1 = y2 = 0.5 * (y1 + y2)
-    y1 = min(max(y1, 0.0), y_cap)
-    y2 = min(max(y2, y1), y_cap)
-    if y1 + y2 > y_cap:
-        shift = 0.5 * (y1 + y2 - y_cap)
-        y1, y2 = y1 - shift, y2 - shift
-        if y1 < 0:
-            y1, y2 = 0.0, y_cap
-        if y1 > y2:
-            y1 = y2 = 0.5 * (y1 + y2)
-    return np.array([y1, y2])
-
-
-def solve_two_load(
-    model,
-    init: tuple[float, float] = (0.2, 0.5),
-    tol: float = 1e-7,
-) -> AnalyticSolution:
-    """Two-load optimum by projected gradient ascent on the staircase area.
-
-    The step length self-tunes by backtracking and modest growth. The
-    ascent stops when the gradient norm drops below ``tol``, or when
-    backtracking shrinks the step below 1e-16 without any gain in area:
-    the area is then flat to rounding at the iterate, either on a
-    constraint face or at an interior maximum. On the reference arch the
-    second rule ends the ascent from any of 16 random starts, at an
-    interior point whose gradient norm (7e-7 to 1.4e-5, reported in
-    ``diagnostics``) is still above the default ``tol``. Which rule fired
-    is ``diagnostics["stop"]``: ``"tol"`` or ``"stall"``.
-    """
-    y_cap = model.y_max * (1 - _EDGE_GUARD)
-    y = _project_two(np.asarray(init, dtype=float), y_cap)
-    s = 1e-4
-    area = _area2(model, y[0], y[1])
-    stop = None
-    for iterations in range(1, _TWO_LOAD_MAX_ITER + 1):
-        g = two_load_gradient(model, y[0], y[1])
-        if np.linalg.norm(g) < tol:
-            stop = "tol"
-            break
-        cand = _project_two(y + s * g, y_cap)
-        cand_area = _area2(model, cand[0], cand[1])
-        if cand_area > area:
-            y, area = cand, cand_area
-            s = min(s * 1.5, 1e-2)
-        else:
-            s *= 0.5
-            if s < 1e-16:
-                # no step gains area in floating point: a constraint face
-                # with nonzero free gradient, or an interior maximum whose
-                # gradient norm is still above tol
-                stop = "stall"
-                break
-    if stop is None:
-        raise NumericError(
-            f"two-load ascent did not converge in {_TWO_LOAD_MAX_ITER} iterations; "
-            f"last iterate {y.tolist()}"
-        )
-    y1, y2 = float(y[0]), float(y[1])
-    return _solution(
-        model,
-        [y1, y2],
-        iterations,
-        {
-            "gradient_norm": float(np.linalg.norm(two_load_gradient(model, y1, y2))),
-            "stop": stop,
-        },
-    )
+    """Gradient of the two-load staircase area at (y1, y2): the closed-form
+    Jacobian, as ``_area_gradient`` gives it for n = 2."""
+    return _area_gradient(model, np.array([y1, y2], dtype=float))
 
 
 def _project_simplex_cap(y: np.ndarray, cap: float) -> np.ndarray:
@@ -274,36 +211,58 @@ def _project_simplex_cap(y: np.ndarray, cap: float) -> np.ndarray:
     return np.maximum(p - theta, 0.0)
 
 
-def _fd_gradient(model, sizes: np.ndarray, h: float) -> np.ndarray:
-    g = np.zeros_like(sizes)
-    for i in range(sizes.size):
-        up = sizes.copy()
-        dn = sizes.copy()
-        up[i] += h
-        dn[i] = max(dn[i] - h, 1e-12)
-        g[i] = (area_n(model, up) - area_n(model, dn)) / (up[i] - dn[i])
-    return g
+def _ascend(model, start, cap: float, tol: float):
+    """Projected gradient ascent of the staircase area over the unit sizes.
 
-
-def _ascend_n(model, start: np.ndarray, cap: float):
-    y = np.maximum(_project_simplex_cap(start.copy(), cap), 1e-9)
-    h = 1e-7 * model.y_max
+    The step grows by 1.5 (up to 1e-2) on a gain in area and halves
+    otherwise. The ascent stops when the gradient norm drops below ``tol``
+    (``"tol"``), or when the step falls below 1e-16 without a gain
+    (``"stall"``): the area is then flat to rounding, on a constraint face
+    or at an interior maximum. Returns the sizes, their area, the iteration
+    count and the ``gradient_norm`` and ``stop`` diagnostics.
+    """
+    y = np.maximum(_project_simplex_cap(np.asarray(start, dtype=float), cap), 1e-12)
+    area = _staircase(model, y)[3]
     s = 1e-4
-    area = area_n(model, y)
-    for _ in range(5000):
-        g = _fd_gradient(model, y, h)
-        if np.linalg.norm(g) < 1e-6:
+    for iterations in range(1, _ASCENT_MAX_ITER + 1):
+        g = _area_gradient(model, y)
+        norm = float(np.linalg.norm(g))
+        if norm < tol:
+            stop = "tol"
             break
         cand = np.maximum(_project_simplex_cap(y + s * g, cap), 1e-12)
-        cand_area = area_n(model, cand)
+        cand_area = _staircase(model, cand)[3]
         if cand_area > area:
             y, area = cand, cand_area
             s = min(s * 1.5, 1e-2)
         else:
             s *= 0.5
-            if s < 1e-15:
+            if s < 1e-16:
+                stop = "stall"
                 break
-    return y, area
+    else:
+        raise NumericError(
+            f"analytic ascent did not converge in {_ASCENT_MAX_ITER} iterations; "
+            f"last iterate {y.tolist()}"
+        )
+    return y, area, iterations, {"gradient_norm": norm, "stop": stop}
+
+
+def solve_two_load(
+    model,
+    init: tuple[float, float] = (0.2, 0.5),
+    tol: float = 1e-7,
+) -> AnalyticSolution:
+    """Two-load optimum by projected gradient ascent on the staircase area.
+
+    On the reference arch the ascent ends by ``_ascend``'s stall rule from
+    any of 16 random starts, at an interior point whose gradient norm
+    (8e-7 to 6.1e-6) is still above the default ``tol``. ``diagnostics``
+    reports ``stop`` (``"tol"`` or ``"stall"``) and ``gradient_norm``.
+    """
+    cap = model.y_max * (1 - _EDGE_GUARD)
+    y, _, iterations, diagnostics = _ascend(model, init, cap, tol)
+    return _solution(model, y, iterations, diagnostics)
 
 
 def solve_n_load(
@@ -349,7 +308,7 @@ def _n_load_sizes(
 
     best: tuple[float, tuple[float, ...], np.ndarray] | None = None
     for start in starts:
-        y, area = _ascend_n(model, start, cap)
+        y, area, _, _ = _ascend(model, start, cap, 1e-6)
         key = (-area, tuple(np.sort(y)))
         if best is None or key < best[:2]:
             best = (key[0], key[1], y)

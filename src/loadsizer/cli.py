@@ -361,7 +361,9 @@ def _write_comparison(rows: list[SizingResult], n_max: int, path: Path) -> None:
             ["n", "method"] + [f"x{i + 1}" for i in range(n_max)] + ["sum_x", "SU"]
         )
         for r in sorted(rows, key=lambda r: (r.n, r.method)):
-            xs = [format_float(v) for v in r.x] + [""] * (n_max - len(r.x))
+            # sizes round-trip exactly: the optima sit where a subset draw
+            # equals a sample, so a rounded size can re-dispatch to another SU
+            xs = [repr(float(v)) for v in r.x] + [""] * (n_max - len(r.x))
             writer.writerow(
                 [str(r.n), r.method]
                 + xs

@@ -11,6 +11,7 @@ search ranked on full-series dispatch utilization.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import logging
 import math
@@ -145,19 +146,6 @@ def solve_ecls(points, matrix: SwitchMatrix, C: float, warn_negative: bool = Tru
     )
 
 
-def _with_su(result: EclsResult, su: float) -> EclsResult:
-    return EclsResult(
-        x=result.x,
-        lam=result.lam,
-        C=result.C,
-        residual_norm=result.residual_norm,
-        solar_utilization=su,
-        n=result.n,
-        block_length=result.block_length,
-        negative_components=result.negative_components,
-    )
-
-
 def dispatch_su(values: np.ndarray, x: np.ndarray) -> float:
     """Utilization of sizes ``x`` dispatched over ``values`` (order-free)."""
     total = float(values.sum())
@@ -167,12 +155,13 @@ def dispatch_su(values: np.ndarray, x: np.ndarray) -> float:
     return float(captured.sum()) / total
 
 
-def _sweep(
+def sensitivity_table(
     sorted_series: SortedSeries,
     n: int,
-    c_steps: int,
-    block_length: int,
+    c_steps: int = DEFAULT_C_STEPS,
+    block_length: int = DEFAULT_BLOCK_LENGTH,
 ) -> list[EclsResult]:
+    """Full C sweep, one row per grid value (NaN utilization where invalid)."""
     if c_steps < 2:
         raise DataError("c_steps must be >= 2")
     matrix = build_switch_matrix(n, block_length)
@@ -186,7 +175,7 @@ def _sweep(
             out.append(result)  # utilization stays NaN; never ranked best
             continue
         su = dispatch_su(sorted_series.values, result.x)
-        out.append(_with_su(result, su))
+        out.append(dataclasses.replace(result, solar_utilization=su))
     if skipped:
         logger.warning(
             "C sweep (n=%d): %d of %d grid values gave a non-positive size and were "
@@ -209,7 +198,7 @@ def line_search_C(
     Ties break toward the smaller C; C values whose solution has a
     non-positive component are excluded from the ranking.
     """
-    table = _sweep(sorted_series, n, c_steps, block_length)
+    table = sensitivity_table(sorted_series, n, c_steps, block_length)
     best: EclsResult | None = None
     for result in table:
         if math.isnan(result.solar_utilization):
@@ -219,16 +208,6 @@ def line_search_C(
     if best is None:
         raise NumericError("no C value produced an all-positive sizing")
     return best
-
-
-def sensitivity_table(
-    sorted_series: SortedSeries,
-    n: int,
-    c_steps: int = DEFAULT_C_STEPS,
-    block_length: int = DEFAULT_BLOCK_LENGTH,
-) -> list[EclsResult]:
-    """Full C sweep, one row per grid value (NaN utilization where invalid)."""
-    return _sweep(sorted_series, n, c_steps, block_length)
 
 
 def write_sensitivity_csv(table: list[EclsResult], path: str | Path) -> Path:

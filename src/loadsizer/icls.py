@@ -120,9 +120,16 @@ class IclsResult:
 
 
 def _solve_working_set(H, g, C, b, working):
-    """Equality-constrained QP on the working set; returns (x, multipliers)."""
+    """Equality-constrained QP on the working set; returns (x, multipliers).
+
+    More rows than unknowns make the KKT matrix singular, which LAPACK
+    reports only on an exactly zero pivot, so that case raises here. A
+    rank-deficient set of at most n rows is not detected.
+    """
     n = H.shape[0]
     k = len(working)
+    if k > n:
+        raise np.linalg.LinAlgError(f"{k} working-set rows in {n} unknowns")
     if k == 0:
         return np.linalg.solve(H, g), np.array([])
     kkt = np.zeros((n + k, n + k))
@@ -137,8 +144,6 @@ def _solve_working_set(H, g, C, b, working):
 
 def _warm_point(H, g, C, b, warm):
     """The EQP point on ``warm`` if it is primal feasible, else None."""
-    if len(warm) > H.shape[0]:
-        return None  # more rows than unknowns: the KKT matrix is singular
     try:
         x, mult = _solve_working_set(H, g, C, b, warm)
     except np.linalg.LinAlgError:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,25 +39,6 @@ class MilpSolution:
     def y(self) -> np.ndarray:
         """Committed demand per load and step: the load's size where it is on."""
         return self.u * self.x[:, None]
-
-    @property
-    def capture(self) -> float:
-        return float(self.y.sum())
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "x": [float(v) for v in self.x],
-                "u": self.u.astype(int).tolist(),
-                "y": [[float(v) for v in row] for row in self.y],
-                "objective": float(self.objective),
-                "gap": float(self.gap),
-                "nodes_explored": self.nodes_explored,
-                "status": self.status,
-            },
-            indent=2,
-            sort_keys=True,
-        )
 
 
 def best_sizes_for_schedule(instance: MilpInstance, u: np.ndarray) -> tuple[np.ndarray, float]:

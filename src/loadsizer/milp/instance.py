@@ -10,7 +10,6 @@ solver reads M: the relaxation eliminates y and u (see ``relaxation``).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,33 +31,8 @@ class MilpInstance:
         return self.s.size
 
     @property
-    def num_binaries(self) -> int:
-        return self.n * self.horizon
-
-    @property
-    def num_continuous(self) -> int:
-        return self.n + self.n * self.horizon
-
-    @property
-    def num_constraints(self) -> int:
-        return self.horizon + 4 * self.num_binaries
-
-    @property
     def total_power(self) -> float:
         return float(self.s.sum())
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "s": [float(v) for v in self.s],
-                "n": self.n,
-                "num_binaries": self.num_binaries,
-                "num_continuous": self.num_continuous,
-                "num_constraints": self.num_constraints,
-            },
-            indent=2,
-            sort_keys=True,
-        )
 
 
 def build_instance(values, n: int) -> MilpInstance:

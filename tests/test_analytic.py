@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from loadsizer.analytic import (
+    _area_gradient,
     area_n,
     combination_levels,
     line_search_single,
@@ -284,6 +285,22 @@ def test_area_n_never_exceeds_total(ref_model):
         if sizes.sum() >= ref_model.y_max:
             continue
         assert area_n(ref_model, sizes) <= total
+
+
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_area_gradient_matches_finite_differences(ref_model, n):
+    h = 1e-6
+    rng = np.random.default_rng(20 + n)
+    for _ in range(4):
+        sizes = rng.uniform(0.02, 0.9 / n, size=n)
+        assert np.diff(combination_levels(sizes), prepend=0.0).min() > 2 * h  # no kink in reach
+        g = _area_gradient(ref_model, sizes)
+        for i in range(n):
+            up, dn = sizes.copy(), sizes.copy()
+            up[i] += h
+            dn[i] -= h
+            fd = (area_n(ref_model, up) - area_n(ref_model, dn)) / (2 * h)
+            assert g[i] == pytest.approx(fd, rel=1e-4)
 
 
 def test_combination_levels_bit_convention():

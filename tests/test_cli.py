@@ -13,7 +13,9 @@ import pytest
 from click.testing import CliRunner
 
 from loadsizer.cli import main, read_config
+from loadsizer.dispatch import dispatch_greedy, utilization
 from loadsizer.errors import UsageError
+from loadsizer.timeseries import load_series, normalize
 
 
 @pytest.fixture()
@@ -151,6 +153,20 @@ def test_compare_small(runner, small_csv, tmp_path):
     by_method = {r["method"]: float(r["normalized_SU"]) for r in rows}
     assert by_method["ecls"] == pytest.approx(1.0, abs=1e-12)
     assert set(by_method) == {"ecls", "icls", "milp"}
+
+
+def test_compare_sizes_redispatch_to_their_su(runner, year_csv, tmp_path):
+    result = runner.invoke(
+        main, ["compare", "--n-range", "2-2", str(year_csv), "--output-dir", str(tmp_path)]
+    )
+    assert result.exit_code == 0, result.output
+    series = normalize(load_series(year_csv, resample_seconds=900))
+    rows = list(csv.DictReader(open(tmp_path / "comparison.csv")))
+    assert {r["method"] for r in rows} == {"ecls", "icls", "milp"}
+    for r in rows:
+        x = np.array([float(r["x1"]), float(r["x2"])])
+        su = utilization(series, dispatch_greedy(series, x), x).solar_utilization
+        assert su == pytest.approx(float(r["SU"]), abs=1e-12), r["method"]
 
 
 def test_compare_partial_failure_exit_3(runner, tmp_path):

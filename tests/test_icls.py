@@ -10,6 +10,7 @@ from loadsizer.icls import (
     IclsResult,
     _FitContext,
     SwitchTimes,
+    _solve_working_set,
     build_um,
     optimize_m,
     solve_icls_fixed_m,
@@ -262,6 +263,19 @@ def test_warm_start_falls_back_to_cold_start():
     assert fallback.x_bar.tobytes() == cold.x_bar.tobytes()
     assert fallback.warm_hits == 0
     kkt_check(sorted_series(values), fallback, n)
+
+
+def test_working_set_with_more_rows_than_unknowns_raises():
+    n = 3
+    rng = np.random.default_rng(71)
+    total = 120
+    values = np.sort(rng.uniform(0.01, 1.0, size=total))
+    m = SwitchTimes.from_free((10, 12, 20, 15, 18, 22), total - 5, n)
+    H, g, C, b = qp_matrices(values, m, 5, n)
+    # the KKT matrix is singular, but LAPACK meets no exactly zero pivot
+    # and would return multipliers of order 1e16
+    with pytest.raises(np.linalg.LinAlgError):
+        _solve_working_set(H, g, C, b, list(range(n + 1)))
 
 
 # ---------------------------------------------------------------------------

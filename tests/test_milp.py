@@ -73,24 +73,6 @@ def exhaustive_optimum(s, n):
 
 
 # ---------------------------------------------------------------------------
-# instance construction
-# ---------------------------------------------------------------------------
-
-
-def test_instance_counts_single():
-    inst = build_instance([0.5], 1)
-    assert inst.num_binaries == 1
-    assert inst.num_continuous == 2
-    assert inst.num_constraints == 5
-
-
-def test_instance_counts_n2_t3():
-    inst = build_instance([0.3, 0.6, 0.9], 2)
-    assert inst.num_binaries == 6
-    assert inst.num_continuous == 8
-
-
-# ---------------------------------------------------------------------------
 # LP relaxation
 # ---------------------------------------------------------------------------
 
@@ -349,16 +331,6 @@ def test_dispatch_all_zero_sizes_is_all_off():
     inst = build_instance([0.2, 0.5, 0.9], 2)
     u, capture = _dispatch(inst, np.zeros(2))
     assert u.shape == (2, 3) and not u.any() and capture == 0.0
-
-
-def test_instance_and_solution_json():
-    inst = build_instance([0.3, 0.6, 0.9], 1)
-    payload = inst.to_json()
-    assert '"num_binaries": 3' in payload
-    sol = branch_and_bound(inst, gap_tol=0.0)
-    text = sol.to_json()
-    assert '"status": "optimal"' in text
-    assert '"objective"' in text
 
 
 def test_downsample_sweep_rows():

@@ -1,0 +1,42 @@
+"""The benchmark's tracer still finds every binding it wraps.
+
+``perfbench/tracer.py`` replaces functions by name in the modules that
+hold them and counts the ECLS sweep's rejection warning by its text. A
+refactor that drops or renames one of those breaks the traced benchmark
+pass; this test makes it break here first.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from loadsizer import dispatch, ecls
+from loadsizer.timeseries import SortedSeries
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_restores_every_binding():
+    tracer = load_tracer()
+    original = ecls.capture_best
+    # seed 0 rejects 3 of the 20 C values at n = 3
+    values = np.sort(np.random.default_rng(0).uniform(0.01, 1.0, size=300) ** 2)
+    series = SortedSeries(values=values, source_length=300, zeros_removed=True)
+    t = tracer.Tracer()
+    with t.installed():
+        assert ecls.capture_best is not original
+        ecls.line_search_C(series, 3, c_steps=20, block_length=4)
+    assert ecls.capture_best is original is dispatch.capture_best
+    assert t.counts["ecls.line_search_C.calls"] == 1
+    assert t.counts["ecls.c_rejected"] > 0
+    assert t.counts["ecls.c_rejected"] + t.counts["dispatch.capture_best.calls_from.ecls"] == 20
