@@ -105,10 +105,12 @@ def subset_table(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     each draw is summed from load 1 onwards in one fixed order. Returns
     ``(sums, masks)`` sorted by ascending draw; among subsets with an
     identical draw the one with fewest loads on, then lowest combo index,
-    is kept.
+    is kept. More than 20 loads are refused before anything is allocated.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
+    if n < 1 or n > _MAX_LOADS:
+        raise DataError(f"need 1..{_MAX_LOADS} loads, got {n}")
     pops, masks = _subset_bits(n)
     sums = np.zeros(2**n)
     for i in range(n):
@@ -147,13 +149,10 @@ def capture_best(values: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndar
 def dispatch_greedy(series: PowerSeries, x) -> SwitchSchedule:
     """Per-timestep maximal feasible subset of loads under the series."""
     x = np.asarray(x, dtype=float).ravel()
-    n = x.size
-    if n < 1 or n > _MAX_LOADS:
-        raise DataError(f"need 1..{_MAX_LOADS} loads, got {n}")
     if not (np.isfinite(x) & (x > 0)).all():
         raise DataError(f"load sizes must be positive and finite, got {x.tolist()}")
     _, chosen = capture_best(series.values, x)
-    return SwitchSchedule(u=combo_states(chosen, n), combo_index=chosen)
+    return SwitchSchedule(u=combo_states(chosen, x.size), combo_index=chosen)
 
 
 def utilization(series: PowerSeries, schedule: SwitchSchedule, x) -> UtilizationReport:

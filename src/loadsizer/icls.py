@@ -166,27 +166,24 @@ def _active_set_qp(H, g, C, b, max_iter, warm=()):
     kept sorted, so every KKT system is built in one canonical row order
     and the answer does not depend on the path taken to its working set.
 
-    A ``warm`` working set (a neighbouring QP's) is tried first: if its
-    EQP point is feasible it is either returned, when every multiplier is
-    nonnegative, or the iteration continues from it; a singular or
-    infeasible warm start falls back to the cold start at x = 0.
+    The start is the EQP point of a ``warm`` working set (a neighbouring
+    QP's) if it is feasible, else of the nonnegativity rows, whose point
+    x = 0 is feasible as b >= 0. It is returned if no multiplier is
+    negative (a warm hit if ``warm`` gave it), else iterated from.
 
     Returns ``(x, working, multipliers, iterations, warm_hit)``.
     """
-    n = H.shape[0]
-    warm = sorted(warm)
-    start = _warm_point(H, g, C, b, warm) if warm else None
-    if start is None:
-        x = np.zeros(n)
-        working = list(range(n))  # the nonnegativity rows are tight at x = 0
-        iteration = 0
-    else:
-        x, mult = start
-        working = warm
-        if mult.size == 0 or mult.min() >= -_KKT_TOL:
-            return x, working, mult, 1, True
-        working.pop(int(np.argmin(mult)))
-        iteration = 1
+    working = sorted(warm)
+    start = _warm_point(H, g, C, b, working) if working else None
+    warm_hit = start is not None
+    if not warm_hit:
+        working = list(range(H.shape[0]))
+        start = _solve_working_set(H, g, C, b, working)
+    x, mult = start
+    if mult.size == 0 or mult.min() >= -_KKT_TOL:
+        return x, working, mult, 1, warm_hit
+    working.pop(int(np.argmin(mult)))
+    iteration = 1
     while iteration < max_iter:
         iteration += 1
         try:
@@ -355,9 +352,10 @@ def optimize_m(
     pattern search (all single-coordinate moves on the offset and the free
     block lengths, step halving from T/16 down to 1) runs from equidistant
     starts plus seeded random restarts. Only strict improvements are
-    accepted, so the utilization sequence is non-decreasing. Each trial
-    QP warm-starts from the current point's working set; with the working
-    set kept in canonical order that changes only the work, not the answer.
+    accepted, so the utilization sequence is non-decreasing. Each QP
+    warm-starts from the current (or previous lattice) point's working set;
+    with the working set kept in canonical order that changes only the work,
+    not the answer.
     """
     values = sorted_series.values
     total = values.size
@@ -375,8 +373,10 @@ def optimize_m(
         return cache[key]
 
     if _lattice_size(total, blocks) <= _EXHAUSTIVE_LIMIT:
-        best = min((evaluate(k0, f) for k0, f in _lattice(total, blocks)), key=_result_key)
-        return _with_search_totals(best, 1, cache.values())
+        warm = ()
+        for k0, free in _lattice(total, blocks):
+            warm = evaluate(k0, free, warm).working_set
+        return _with_search_totals(min(cache.values(), key=_result_key), 1, cache.values())
 
     rng = np.random.default_rng(seed)
     starts = [(0, SwitchTimes.equidistant(total, n).free)]

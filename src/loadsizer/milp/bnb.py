@@ -1,7 +1,8 @@
 """Best-first branch and bound on the LP relaxation bounds.
 
-Nodes branch on the most fractional binary of their relaxation solution;
-every explored node also feeds a rounding-plus-repair heuristic (alternate
+Nodes branch on the most fractional binary of the greedy fill of their
+relaxation's sizes (``_greedy_fill``), picked once per node; every node
+also feeds a rounding-plus-repair heuristic (alternate
 best schedule given sizes with best sizes given schedule) that supplies
 incumbents long before the bounds close. Among equal-mismatch incumbents
 the smaller total size wins, and the returned sizes are polished by a
@@ -19,7 +20,7 @@ import numpy as np
 from ..dispatch import capture_best, combo_index, combo_states
 from ..errors import DataError, NumericError
 from .instance import MilpInstance
-from .relaxation import solve_lp_relaxation
+from .relaxation import _fix_masks, solve_lp_relaxation
 from .simplex import solve_lp
 
 _OBJ_TOL = 1e-9
@@ -161,22 +162,40 @@ class _Incumbent:
         return False
 
 
+def _greedy_fill(instance: MilpInstance, x: np.ndarray, fixes) -> np.ndarray:
+    """Fractional (n, T) schedule: sizes ``x`` fill each ``s_t`` greedily,
+    loads fixed on first, then the free ones by index, each taking what is
+    left up to its size (fixed loads count 1 or 0). What is left comes from
+    one subtraction per load in that order, fixed-off loads subtracting 0."""
+    fixed_on, fixed_off = _fix_masks(instance, fixes)
+    order = np.argsort(~fixed_on, axis=0, kind="stable")
+    draws = np.take_along_axis(np.where(fixed_off, 0.0, x[:, None]), order, axis=0)
+    left = np.subtract.accumulate(np.vstack([instance.s, draws]), axis=0)
+    before = np.empty_like(draws)
+    np.put_along_axis(before, order, left[:-1], axis=0)
+    taken = np.clip(before, 0.0, x[:, None]) / np.maximum(x, 1e-300)[:, None]
+    u = np.where(x[:, None] > 1e-12, taken, 0.0)
+    u[fixed_on] = 1.0
+    u[fixed_off] = 0.0
+    return u
+
+
 def _branch_or_offer(
-    instance: MilpInstance, incumbent: _Incumbent, relax, fixes
+    instance: MilpInstance, incumbent: _Incumbent, x: np.ndarray, fixes
 ) -> tuple[int, int] | None:
-    """The node's most fractional unfixed binary ``(i, t)`` to branch on.
+    """The most fractional binary ``(i, t)`` of the greedy fill of the node's
+    sizes ``x``; fixed binaries are 0 or 1 there, so never picked.
 
     Ties go to the lowest ``(t, i)``. If every binary is within 1e-9 of
-    integral, the node is solved by its own LP: its rounded schedule is
-    sized and offered to the incumbent, and None is returned.
+    integral, the rounded fill is sized and offered to the incumbent, and
+    None is returned.
     """
-    frac = np.minimum(relax.u, 1.0 - relax.u)
-    for (i, t) in fixes:
-        frac[i, t] = 0.0
+    u = _greedy_fill(instance, x, fixes)
+    frac = np.minimum(u, 1.0 - u)
     t_pick, i_pick = divmod(int(np.argmax(frac.T)), instance.n)
     if frac[i_pick, t_pick] > 1e-9:
         return i_pick, t_pick
-    u = np.rint(relax.u).astype(np.uint8)
+    u = np.rint(u).astype(np.uint8)
     x, capture = best_sizes_for_schedule(instance, u)
     incumbent.offer(x, u, instance.total_power - capture)
     return None
@@ -213,8 +232,8 @@ def branch_and_bound(
             incumbent.offer(*polished)
 
     counter = itertools.count()
-    heap: list[tuple[float, int, dict, object]] = []
-    heapq.heappush(heap, (root.objective_lb, next(counter), {}, root))
+    root_pick = _branch_or_offer(instance, incumbent, root.x, {})
+    heap = [(root.objective_lb, next(counter), {}, root_pick)]
     status = "node_limit"
 
     def relative_gap(bound: float) -> float:
@@ -224,7 +243,7 @@ def branch_and_bound(
 
     best_bound = root.objective_lb
     while heap:
-        bound, _, fixes, relax = heapq.heappop(heap)
+        bound, _, fixes, pick = heapq.heappop(heap)
         best_bound = bound
         if incumbent.x is not None and bound >= incumbent.objective - _OBJ_TOL:
             status = "optimal"
@@ -236,21 +255,19 @@ def branch_and_bound(
             status = "node_limit"
             break
 
-        pick = _branch_or_offer(instance, incumbent, relax, fixes)
         if pick is None:
             continue
 
         for value in (1, 0):
-            child_fixes = dict(fixes)
-            child_fixes[pick] = value
+            child_fixes = {**fixes, pick: value}
             child = solve_lp_relaxation(instance, child_fixes)
             nodes_explored += 1
             repaired = _repair(instance, child.x, rounds=2)
             if repaired is not None:
                 incumbent.offer(*repaired)
-            _branch_or_offer(instance, incumbent, child, child_fixes)
+            child_pick = _branch_or_offer(instance, incumbent, child.x, child_fixes)
             if incumbent.x is None or child.objective_lb < incumbent.objective - _OBJ_TOL:
-                heapq.heappush(heap, (child.objective_lb, next(counter), child_fixes, child))
+                heapq.heappush(heap, (child.objective_lb, next(counter), child_fixes, child_pick))
     else:
         status = "optimal"
         best_bound = incumbent.objective if incumbent.x is not None else best_bound

@@ -9,7 +9,8 @@ are therefore eliminated analytically, and each timestep contributes
 sizes also capped by ``s_t``. Timesteps with no fixes at all collapse into
 one concave piecewise-linear term of ``W = sum(x)``, built up by exact
 cutting planes, which keeps the master LP size proportional to the number
-of branched pairs instead of the full horizon.
+of branched pairs instead of the full horizon. Only the bound and the
+sizes x are returned; branch and bound derives its schedule from x.
 """
 
 from __future__ import annotations
@@ -28,11 +29,10 @@ _MAX_CUTS = 120
 
 @dataclass
 class LpRelaxation:
-    """Relaxation outcome: a valid mismatch lower bound plus a solution."""
+    """Relaxation outcome: a valid mismatch lower bound and the LP's sizes."""
 
     objective_lb: float
     x: np.ndarray = field(repr=False)
-    u: np.ndarray = field(repr=False)  # (n, T), possibly fractional
     status: str = "optimal"  # optimal | cut_stall | cut_limit
 
 
@@ -62,7 +62,7 @@ def _virgin_slope(sorted_s: np.ndarray, w: float) -> float:
 
 
 def solve_lp_relaxation(instance: MilpInstance, fixes=None) -> LpRelaxation:
-    """Optimal value and solution of the LP relaxation.
+    """Optimal value and sizes of the LP relaxation.
 
     ``fixes`` maps ``(i, t)`` to 0 or 1 and pins those binaries; the
     rest stay free in [0, 1]. The returned ``objective_lb`` is a valid
@@ -152,38 +152,8 @@ def solve_lp_relaxation(instance: MilpInstance, fixes=None) -> LpRelaxation:
     else:
         status = "cut_limit"
 
-    x = np.maximum(res.x[:n], 0.0)
     return LpRelaxation(
         objective_lb=instance.total_power - capture_ub,
-        x=x,
-        u=_reconstruct(instance, x, fixed_on, fixed_off),
+        x=np.maximum(res.x[:n], 0.0),
         status=status,
     )
-
-
-def _reconstruct(
-    instance: MilpInstance, x: np.ndarray, fixed_on: np.ndarray, fixed_off: np.ndarray
-) -> np.ndarray:
-    """Fractional u from committed demand filled greedily (forced loads
-    first, then by index)."""
-    n, T = instance.n, instance.horizon
-    s = instance.s
-    y = np.zeros((n, T))
-    for t in range(T):
-        forced = np.flatnonzero(fixed_on[:, t])
-        free = np.flatnonzero(~fixed_on[:, t] & ~fixed_off[:, t])
-        budget = s[t]
-        for i in forced:
-            y[i, t] = x[i]  # commits may exceed nothing: guarded by LP
-            budget -= x[i]
-        for i in free:
-            if budget <= 0:
-                break
-            take = min(x[i], budget)
-            y[i, t] = take
-            budget -= take
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = np.where(x[:, None] > 1e-12, y / np.maximum(x[:, None], 1e-300), 0.0)
-    u[fixed_on] = 1.0
-    u[fixed_off] = 0.0
-    return np.clip(u, 0.0, 1.0)

@@ -253,6 +253,18 @@ def test_exit_codes_via_subprocess(tmp_path):
     assert "error" in data.stderr.lower()
 
 
+def test_size_milp_refuses_more_than_twenty_loads(small_csv, tmp_path):
+    run = subprocess.run(
+        [sys.executable, "-m", "loadsizer.cli", "size", "--method", "milp", "--n", "21",
+         "--ratio", "4", "--output-dir", str(tmp_path), str(small_csv)],
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 1, run.stderr
+    assert "need 1..20 loads, got 21" in run.stderr
+    assert "Traceback" not in run.stderr
+
+
 @pytest.mark.parametrize(
     "argv",
     [

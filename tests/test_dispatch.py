@@ -10,6 +10,7 @@ import pytest
 
 from loadsizer import PowerSeries
 from loadsizer.dispatch import (
+    _subset_bits,
     capture_best,
     combo_histogram,
     combo_index,
@@ -217,6 +218,16 @@ def test_subset_table_sorted_unique():
     sums, masks = subset_table(np.array([0.2, 0.1]))
     assert sums.tolist() == [0.0, 0.1, 0.2, 0.30000000000000004]
     assert (np.diff(sums) > 0).all()
+
+
+def test_more_than_twenty_loads_refused_before_the_table():
+    x = np.full(21, 0.01)
+    misses = _subset_bits.cache_info().misses
+    with pytest.raises(DataError, match=r"need 1\.\.20 loads, got 21"):
+        capture_best(np.array([0.5, 0.9]), x)
+    with pytest.raises(DataError, match=r"need 1\.\.20 loads, got 21"):
+        dispatch_greedy(make_series([0.5, 0.9]), x)
+    assert _subset_bits.cache_info().misses == misses  # no 2^21 table was built
 
 
 def test_appending_tiny_unit_never_lowers_su():

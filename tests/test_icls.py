@@ -7,8 +7,11 @@ import pytest
 
 from loadsizer.errors import DataError
 from loadsizer.icls import (
+    _EXHAUSTIVE_LIMIT,
     IclsResult,
     _FitContext,
+    _lattice_size,
+    _result_key,
     SwitchTimes,
     _solve_working_set,
     build_um,
@@ -345,6 +348,25 @@ def test_pattern_search_near_exhaustive_medium():
         su = solve_icls_fixed_m(series, m, 2, offset=k0).solar_utilization
         best_su = max(best_su, su)
     assert found.solar_utilization >= best_su - 5e-3
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_pattern_search_ends_where_no_unit_move_improves(seed):
+    # above the exhaustive limit the search must end at a point that no
+    # valid +-1 move of the offset or of one free length improves
+    for n, total in [(2, 60), (2, 150), (3, 120), (3, 200)]:
+        assert _lattice_size(total, 2**n - 1) > _EXHAUSTIVE_LIMIT
+        values = np.sort(np.random.default_rng(seed).uniform(0.01, 1.0, size=total) ** 1.5)
+        found = optimize_m(sorted_series(values), n)
+        context = _FitContext(values, n)
+        point = (found.offset,) + found.m.free
+        for coord in range(len(point)):
+            for delta in (1, -1):
+                k0, *free = point[:coord] + (point[coord] + delta,) + point[coord + 1 :]
+                if k0 < 0 or min(free) < 1 or k0 + sum(free) > total - 1:
+                    continue
+                trial = context.solve(SwitchTimes.from_free(free, total - k0, n), k0)
+                assert _result_key(trial) > _result_key(found), (n, total, coord, delta)
 
 
 def test_icls_beats_ecls_on_random_data():

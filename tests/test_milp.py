@@ -22,7 +22,13 @@ from loadsizer.milp import (
     downsample_sweep,
     solve_lp_relaxation,
 )
-from loadsizer.milp.bnb import _dispatch, best_sizes_for_schedule
+from loadsizer.milp.bnb import (
+    _branch_or_offer,
+    _dispatch,
+    _greedy_fill,
+    _Incumbent,
+    best_sizes_for_schedule,
+)
 from loadsizer.timeseries import SortedSeries, downsample_uniform, sort_ascending
 
 
@@ -195,6 +201,85 @@ def _scipy_relaxation(inst, lo, hi):
 
 
 # ---------------------------------------------------------------------------
+# greedy fill and branching pick
+# ---------------------------------------------------------------------------
+
+
+def loop_fill(inst, x, fixes):
+    """The fill one step and one load at a time: loads fixed on take their
+    size, then the free loads in index order take what is left."""
+    n, T = inst.n, inst.horizon
+    fixed_on = np.zeros((n, T), dtype=bool)
+    fixed_off = np.zeros((n, T), dtype=bool)
+    for (i, t), value in fixes.items():
+        (fixed_on if value == 1 else fixed_off)[i, t] = True
+    y = np.zeros((n, T))
+    for t in range(T):
+        budget = inst.s[t]
+        for i in np.flatnonzero(fixed_on[:, t]):
+            y[i, t] = x[i]
+            budget -= x[i]
+        for i in np.flatnonzero(~fixed_on[:, t] & ~fixed_off[:, t]):
+            if budget <= 0:
+                break
+            take = min(x[i], budget)
+            y[i, t] = take
+            budget -= take
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = np.where(x[:, None] > 1e-12, y / np.maximum(x[:, None], 1e-300), 0.0)
+    u[fixed_on] = 1.0
+    u[fixed_off] = 0.0
+    return np.clip(u, 0.0, 1.0)
+
+
+def loop_pick(u, fixes):
+    """Most fractional unfixed binary, ties to the lowest (t, i); None if integral."""
+    frac = np.minimum(u, 1.0 - u)
+    for key in fixes:
+        frac[key] = 0.0
+    t, i = divmod(int(np.argmax(frac.T)), u.shape[0])
+    return (i, t) if frac[i, t] > 1e-9 else None
+
+
+def random_fill_case(rng):
+    """Sizes with exact zeros, 1e-13 and dyadic ties; fixes that fill a step
+    exactly or fix every load at a step."""
+    n = int(rng.integers(1, 6))
+    T = int(rng.integers(1, 9))
+    kinds = rng.integers(0, 4, size=n)
+    x = np.select(
+        [kinds == 0, kinds == 1, kinds == 2],
+        [0.0, 1e-13, rng.integers(1, 9, size=n) / 16],
+        rng.uniform(0, 1, size=n),
+    )
+    draw = rng.random((n, T))
+    fixes = {(i, t): int(draw[i, t] < 0.2) for i in range(n) for t in range(T) if draw[i, t] < 0.4}
+    if rng.random() < 0.5:
+        t = int(rng.integers(0, T))
+        fixes.update({(i, t): int(rng.integers(0, 2)) for i in range(n)})
+    s = np.where(rng.random(T) < 0.5, rng.integers(0, 17, size=T) / 16, rng.uniform(0, 1.2, size=T))
+    for t in range(T):
+        on = [i for i in range(n) if fixes.get((i, t)) == 1]
+        if on and rng.random() < 0.5:
+            s[t] = sum(x[i] for i in on)  # the loads fixed on use up s_t exactly
+    return build_instance(s, n), x, fixes
+
+
+def test_greedy_fill_matches_step_loop_bit_for_bit():
+    rng = np.random.default_rng(41)
+    picks = integral = 0
+    for _ in range(400):
+        inst, x, fixes = random_fill_case(rng)
+        expected = loop_fill(inst, x, fixes)
+        assert np.array_equal(_greedy_fill(inst, x, fixes), expected)
+        pick = _branch_or_offer(inst, _Incumbent(), x, fixes)
+        assert pick == loop_pick(expected, fixes)
+        picks += pick is not None
+        integral += pick is None
+    assert picks > 50 and integral > 50  # both outcomes ran
+
+
+# ---------------------------------------------------------------------------
 # branch and bound
 # ---------------------------------------------------------------------------
 
@@ -276,6 +361,12 @@ def test_node_limit_gap_stays_within_unit_interval(year_series):
     sol = branch_and_bound(inst, gap_tol=1e-6, node_limit=200)
     assert sol.status == "node_limit"
     assert 0.0 <= sol.gap <= 1.0
+
+
+def test_more_than_twenty_loads_refused():
+    inst = build_instance([0.3, 0.6, 0.9], 21)
+    with pytest.raises(DataError, match=r"need 1\.\.20 loads, got 21"):
+        branch_and_bound(inst)
 
 
 def test_vertex_oracle_matches_schedule_enumeration():

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from loadsizer import dispatch, ecls
+from loadsizer import dispatch, ecls, milp
 from loadsizer.timeseries import SortedSeries
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -40,3 +40,22 @@ def test_tracer_installs_and_restores_every_binding():
     assert t.counts["ecls.line_search_C.calls"] == 1
     assert t.counts["ecls.c_rejected"] > 0
     assert t.counts["ecls.c_rejected"] + t.counts["dispatch.capture_best.calls_from.ecls"] == 20
+
+
+def test_tracer_sees_every_branch_and_bound_relaxation():
+    tracer = load_tracer()
+    bindings = [
+        (tracer._module(binding), name)
+        for _, home, name, holders in tracer.WRAPPED
+        for binding in [home] + holders
+    ]
+    originals = [getattr(module, name) for module, name in bindings]
+    s = np.round(np.random.default_rng(1).uniform(0.05, 1.0, size=5), 4)
+    t = tracer.Tracer()
+    with t.installed():
+        solution = milp.branch_and_bound(milp.build_instance(s, 2), gap_tol=0.0)
+    assert all(getattr(module, name) is fn for (module, name), fn in zip(bindings, originals))
+    assert t.counts["milp.nodes"] == solution.nodes_explored > 1
+    # one relaxation per node, each seen through a wrapped binding
+    assert t.counts["milp.solve_lp_relaxation.calls"] == t.counts["milp.nodes"]
+    assert t.counts["milp.best_sizes_for_schedule.calls"] > 0
