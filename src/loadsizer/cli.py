@@ -312,7 +312,11 @@ def compare(ctx, input_csv, n_range, clear_day, **_):
                     method, clear_series if method == "analytic" else series, n, p
                 )
                 rows.append(result)
-                click.echo(f"{method} n={n}: SU={result.solar_utilization:.4f}")
+                stop = ""
+                if method == "milp":
+                    d = result.diagnostics
+                    stop = f" ({d['status']}, gap {d['gap']:.3g})"
+                click.echo(f"{method} n={n}: SU={result.solar_utilization:.4f}{stop}")
             except LoadSizerError as exc:
                 failures.append(f"{method} n={n}: {exc}")
                 click.echo(f"{method} n={n}: FAILED ({exc})", err=True)

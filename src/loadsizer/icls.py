@@ -23,6 +23,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -218,6 +219,17 @@ def _active_set_qp(H, g, C, b, max_iter, warm=()):
     raise NumericError(f"active set did not terminate; working set {working}")
 
 
+class _Fit(NamedTuple):
+    """One QP's answer, before its residual and score are attached."""
+
+    x_bar: np.ndarray
+    x: np.ndarray
+    working: tuple[int, ...]
+    multipliers: np.ndarray
+    iterations: int
+    warm_hit: bool
+
+
 class _FitContext:
     """Shared per-series geometry so an outer m search can solve cheaply."""
 
@@ -230,7 +242,7 @@ class _FitContext:
         self.total_power = float(values.sum())
         # constraint rows: x_bar >= 0, then one cap per block
         self.C = np.vstack([-np.eye(n), self.w])
-        self.b_zeros = np.zeros(n)
+        self.max_iter = 50 * (n + self.w.shape[0])
 
     def utilization(self, x: np.ndarray) -> float:
         positive = x[x > 1e-12]
@@ -239,46 +251,99 @@ class _FitContext:
         captured, _ = capture_best(self.values, positive)
         return float(captured.sum()) / self.total_power
 
-    def solve(self, m: SwitchTimes, offset: int, warm: tuple[int, ...] = ()) -> IclsResult:
-        """Fit fixed block lengths; ``warm`` is a working set to try first."""
-        full = self.values
-        if offset < 0 or offset >= full.size:
-            raise DataError(f"offset must lie in [0, {full.size}), got {offset}")
-        width = full.size - offset
-        if m.total != width:
-            raise DataError(
-                f"block lengths sum to {m.total}, series has {width} after offset {offset}"
-            )
+    def fits(
+        self, offsets: np.ndarray, lengths: np.ndarray, warm: tuple[int, ...] = ()
+    ) -> list[_Fit]:
+        """Solve the QP of every row of ``lengths`` above its offset, from ``warm``.
+
+        Every fit gets the bytes `_active_set_qp` gives it alone. The EQP on
+        ``warm`` is solved for all rows in one stacked `np.linalg.solve`,
+        which runs the same LAPACK call per matrix, and its feasibility and
+        multipliers are tested for the whole stack. Only the rows it misses
+        go through `_active_set_qp`: from ``warm`` again when the point is
+        feasible with a negative multiplier (or some row's KKT matrix is
+        singular, which fails the whole stack), else from the cold start.
+        """
         n = self.n
-        w = self.w
-        lengths = np.asarray(m.lengths, dtype=float)
-        starts = offset + np.concatenate([[0], np.cumsum(m.lengths)[:-1]]).astype(int)
-        ends = starts + np.asarray(m.lengths)
+        count = len(offsets)
+        ends = offsets[:, None] + np.cumsum(lengths, axis=1)
+        starts = ends - lengths
         block_sums = self.prefix[ends] - self.prefix[starts]
-        caps = full[starts]
-        H = (w * lengths[:, None]).T @ w
-        g = w.T @ block_sums
-        b = np.concatenate([self.b_zeros, caps])
-        max_iter = 50 * (n + len(m.lengths))
-        x_bar, working, mult, iterations, warm_hit = _active_set_qp(
-            H, g, self.C, b, max_iter, warm
-        )
+        # H has integer entries, so its stacked product is exact; each
+        # stacked matrix-vector product runs the single fit's BLAS call per row
+        H = np.matmul(self.w.T * lengths[:, None, :], self.w)
+        g = np.matmul(self.w.T, block_sums[:, :, None])[:, :, 0]
+        b = np.zeros((count, self.C.shape[0]))
+        b[:, n:] = self.values[starts]
+        warm_rows = sorted(warm)
+        k = len(warm_rows)
+        solved = [None] * count  # (x_bar, working, multipliers, iterations, warm hit)
+        start = [warm] * count  # where each miss starts `_active_set_qp`
+        # no warm set means the cold start, and more rows than unknowns a
+        # singular KKT matrix, so every row misses; a lone fit is cheaper
+        # in `_active_set_qp` than in a stack of one
+        if count > 1 and 0 < k <= n:
+            cw = self.C[warm_rows]
+            kkt = np.zeros((count, n + k, n + k))
+            kkt[:, :n, :n] = H
+            kkt[:, :n, n:] = cw.T
+            kkt[:, n:, :n] = cw
+            rhs = np.concatenate([g, b[:, warm_rows]], axis=1)
+            try:
+                sol = np.linalg.solve(kkt, rhs[:, :, None])[:, :, 0]
+            except np.linalg.LinAlgError:
+                pass  # every row tries ``warm`` alone
+            else:
+                outside = np.ones(self.C.shape[0], dtype=bool)
+                outside[warm_rows] = False
+                drawn = np.matmul(self.C[outside], sol[:, :n, None])[:, :, 0]
+                feasible = (drawn <= b[:, outside]).all(axis=1)
+                optimal = sol[:, n:].min(axis=1) >= -_KKT_TOL
+                for i in np.flatnonzero(feasible & optimal).tolist():
+                    solved[i] = (sol[i, :n], warm_rows, sol[i, n:], 1, True)
+                for i in np.flatnonzero(~feasible).tolist():
+                    start[i] = ()
+        for i, row in enumerate(solved):
+            if row is None:
+                solved[i] = _active_set_qp(H[i], g[i], self.C, b[i], self.max_iter, start[i])
+        x_bar = np.array([row[0] for row in solved])
         x_bar = np.where(np.abs(x_bar) < 1e-14, 0.0, x_bar)
-        x = upper_ones(n) @ x_bar
-        levels = w @ x_bar
-        residual = full[offset:] - np.repeat(levels, m.lengths)
+        x = np.matmul(upper_ones(n), x_bar[:, :, None])[:, :, 0]
+        return [
+            _Fit(row_x_bar, row_x, tuple(row_working), mult, iterations, warm_hit)
+            for row_x_bar, row_x, (_, row_working, mult, iterations, warm_hit) in zip(
+                x_bar, x, solved
+            )
+        ]
+
+    def result(self, offset: int, m: SwitchTimes, fit: _Fit, su: float) -> IclsResult:
+        """``fit`` with its residual over the samples above ``offset`` and its SU."""
+        levels = self.w @ fit.x_bar
+        residual = self.values[offset:] - np.repeat(levels, m.lengths)
         return IclsResult(
-            x_bar=x_bar,
-            x=x,
+            x_bar=fit.x_bar,
+            x=fit.x,
             m=m,
             residual_norm=float(np.linalg.norm(residual)),
-            solar_utilization=self.utilization(x),
+            solar_utilization=su,
             offset=offset,
-            working_set=tuple(working),
-            multipliers=tuple(float(v) for v in mult),
-            iterations=iterations,
-            warm_hits=int(warm_hit),
+            working_set=fit.working,
+            multipliers=tuple(float(v) for v in fit.multipliers),
+            iterations=fit.iterations,
+            warm_hits=int(fit.warm_hit),
         )
+
+    def solve(self, m: SwitchTimes, offset: int, warm: tuple[int, ...] = ()) -> IclsResult:
+        """Fit fixed block lengths; ``warm`` is a working set to try first."""
+        size = self.values.size
+        if offset < 0 or offset >= size:
+            raise DataError(f"offset must lie in [0, {size}), got {offset}")
+        if m.total != size - offset:
+            raise DataError(
+                f"block lengths sum to {m.total}, series has {size - offset} after offset {offset}"
+            )
+        (fit,) = self.fits(np.array([offset]), np.array([m.lengths]), warm)
+        return self.result(offset, m, fit, self.utilization(fit.x))
 
 
 def solve_icls_fixed_m(
@@ -350,33 +415,47 @@ def optimize_m(
 
     Small lattices are enumerated exhaustively; otherwise a deterministic
     pattern search (all single-coordinate moves on the offset and the free
-    block lengths, step halving from T/16 down to 1) runs from equidistant
-    starts plus seeded random restarts. Only strict improvements are
-    accepted, so the utilization sequence is non-decreasing. Each QP
-    warm-starts from the current (or previous lattice) point's working set;
-    with the working set kept in canonical order that changes only the work,
-    not the answer.
+    block lengths, step halving from T/16 down to 1) runs from
+    ``max(restarts, 1) + 1`` starts: equidistant ones, then seeded random
+    ones. Only strict improvements are accepted, so the utilization
+    sequence is non-decreasing. Each QP warm-starts from the current (or
+    previous lattice) point's working set; with the working set kept in
+    canonical order that changes only the work, not the answer.
+
+    A sweep's unscored moves are solved as one batch and scored in order.
+    The search remembers each scored point's SU (and the warm set it was
+    solved from), not its result: a move whose SU cannot beat the sweep's
+    leader is never built into a result, and a revisited move that can is
+    solved again from the same warm set.
     """
+    if restarts < 0:
+        raise DataError("restarts must be >= 0")
     values = sorted_series.values
     total = values.size
     blocks = 2**n - 1
     if total < blocks:
         raise DataError(f"need at least {blocks} samples for n={n}, got {total}")
     context = _FitContext(values, n)
-    cache: dict[tuple, IclsResult] = {}
+    work = [0, 0, 0]  # QPs solved, active-set iterations, warm hits
 
-    def evaluate(k0: int, free: tuple[int, ...], warm: tuple[int, ...] = ()) -> IclsResult:
-        key = (k0, free)
-        if key not in cache:
-            m = SwitchTimes.from_free(free, total - k0, n)
-            cache[key] = context.solve(m, k0, warm)
-        return cache[key]
+    def tally(iterations: int, warm_hit: bool) -> None:
+        work[0] += 1
+        work[1] += iterations
+        work[2] += int(warm_hit)
 
     if _lattice_size(total, blocks) <= _EXHAUSTIVE_LIMIT:
-        warm = ()
+        best, warm = None, ()
         for k0, free in _lattice(total, blocks):
-            warm = evaluate(k0, free, warm).working_set
-        return _with_search_totals(min(cache.values(), key=_result_key), 1, cache.values())
+            m = SwitchTimes.from_free(free, total - k0, n)
+            (fit,) = context.fits(np.array([k0]), np.array([m.lengths]), warm)
+            su = context.utilization(fit.x)
+            tally(fit.iterations, fit.warm_hit)
+            if best is None or su >= best.solar_utilization:  # else it loses on SU
+                trial = context.result(k0, m, fit, su)
+                if best is None or _result_key(trial) < _result_key(best):
+                    best = trial
+            warm = fit.working
+        return _with_search_totals(best, 1, *work)
 
     rng = np.random.default_rng(seed)
     starts = [(0, SwitchTimes.equidistant(total, n).free)]
@@ -386,43 +465,77 @@ def optimize_m(
     while len(starts) < max(restarts, 1) + 1:
         starts.append(_random_point(rng, total, blocks))
 
+    # a point is its offset followed by its free lengths; int32 keys halve the table
+    scores: dict[bytes, tuple[float, tuple[int, ...]]] = {}  # point -> (SU, warm set)
+
+    def lengths_of(points: np.ndarray) -> np.ndarray:
+        return np.column_stack([points[:, 1:], total - points.sum(axis=1)])
+
+    def score(points: np.ndarray, warm: tuple[int, ...]):
+        """Solve and score the rows of ``points`` not scored yet, all from ``warm``.
+
+        Returns every row's key and the fits of the rows solved now, by row.
+        """
+        keys = [row.tobytes() for row in points.astype(np.int32)]
+        new = [i for i, key in enumerate(keys) if key not in scores]
+        fits = context.fits(points[new, 0], lengths_of(points[new]), warm) if new else []
+        for i, fit in zip(new, fits):
+            scores[keys[i]] = (context.utilization(fit.x), warm)
+            tally(fit.iterations, fit.warm_hit)
+        return keys, dict(zip(new, fits))
+
+    def result_at(point: np.ndarray, key: bytes, fit: _Fit | None) -> IclsResult:
+        su, warm = scores[key]
+        lengths = lengths_of(point[None])
+        if fit is None:  # a revisit: the same solve as its first, not counted again
+            (fit,) = context.fits(point[:1], lengths, warm)
+        return context.result(int(point[0]), SwitchTimes(tuple(lengths[0].tolist())), fit, su)
+
+    # row 2c moves coordinate c (0 is the offset) up, row 2c + 1 down
+    moves = np.repeat(np.eye(blocks, dtype=np.int64), 2, axis=0)
+    moves[1::2] *= -1
     best: IclsResult | None = None
     for k0, free in starts:
-        current = evaluate(k0, free)
+        point = np.array((k0,) + free, dtype=np.int64)
+        (key,), fits = score(point[None], ())
+        current = result_at(point, key, fits.get(0))
         step = max(total // 16, 1)
         sweeps = 0
         while step >= 1 and sweeps < _MAX_SWEEPS:
+            trials = point + step * moves
+            valid = (
+                (trials[:, 0] >= 0)
+                & (trials[:, 1:] >= 1).all(axis=1)  # the other lengths are >= 1 already
+                & (trials.sum(axis=1) <= total - 1)
+            )
+            trials = trials[valid]
+            keys, fits = score(trials, current.working_set)
             improved = None
-            for coord in range(blocks):  # coord 0 is the offset
-                for delta in (step, -step):
-                    ck0 = current.offset + (delta if coord == 0 else 0)
-                    cand = list(current.m.free)
-                    if coord > 0:
-                        cand[coord - 1] += delta
-                    if ck0 < 0 or (coord > 0 and cand[coord - 1] < 1):
-                        continue  # the other lengths are >= 1 already
-                    if ck0 + sum(cand) > total - 1:
-                        continue
-                    trial = evaluate(ck0, tuple(cand), current.working_set)
-                    if _result_key(trial) < _result_key(improved or current):
-                        improved = trial
+            for i, key in enumerate(keys):
+                leader = improved or current
+                if scores[key][0] < leader.solar_utilization:
+                    continue  # loses on SU, which _result_key compares first
+                trial = result_at(trials[i], key, fits.get(i))
+                if _result_key(trial) < _result_key(leader):
+                    improved, improved_point = trial, trials[i]
             sweeps += 1
             if improved is None:
                 step //= 2
             else:
-                current = improved
+                current, point = improved, improved_point
         if best is None or _result_key(current) < _result_key(best):
             best = current
-    return _with_search_totals(best, len(starts), cache.values())
+    return _with_search_totals(best, len(starts), *work)
 
 
-def _with_search_totals(result: IclsResult, restarts: int, solved) -> IclsResult:
+def _with_search_totals(
+    result: IclsResult, restarts: int, qp_solves: int, iterations: int, warm_hits: int
+) -> IclsResult:
     """``result`` carrying the restart count and the work of every QP solved."""
-    solved = list(solved)
     return dataclasses.replace(
         result,
         restarts_used=restarts,
-        qp_solves=len(solved),
-        iterations=sum(r.iterations for r in solved),
-        warm_hits=sum(r.warm_hits for r in solved),
+        qp_solves=qp_solves,
+        iterations=iterations,
+        warm_hits=warm_hits,
     )

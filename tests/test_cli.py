@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 import subprocess
 import sys
 from datetime import datetime, timedelta
@@ -169,6 +170,23 @@ def test_compare_sizes_redispatch_to_their_su(runner, year_csv, tmp_path):
         assert su == pytest.approx(float(r["SU"]), abs=1e-12), r["method"]
 
 
+def test_compare_prints_milp_status_and_gap(runner, small_csv, tmp_path):
+    result = runner.invoke(
+        main,
+        [
+            "compare", "--n-range", "2-2", str(small_csv), "--output-dir", str(tmp_path),
+            "--block-length", "4", "--ratio", "1", "--node-limit", "40",
+        ],
+    )
+    assert result.exit_code == 0, result.output
+    lines = {line.split(":")[0]: line for line in result.output.splitlines() if " n=" in line}
+    assert re.fullmatch(
+        r"milp n=2: SU=\d\.\d{4} \((optimal|gap_limit|node_limit), gap [-+.\de]+\)",
+        lines["milp n=2"],
+    ), lines["milp n=2"]
+    assert re.fullmatch(r"icls n=2: SU=\d\.\d{4}", lines["icls n=2"])
+
+
 def test_compare_partial_failure_exit_3(runner, tmp_path):
     # 30 daytime points cannot feed the default 60-point ECLS design
     path = write_csv(tmp_path / "tiny.csv", np.concatenate([np.zeros(5), np.linspace(100, 900, 30)]))
@@ -251,6 +269,18 @@ def test_exit_codes_via_subprocess(tmp_path):
     )
     assert data.returncode == 1
     assert "error" in data.stderr.lower()
+
+
+def test_size_icls_refuses_negative_restarts(small_csv, tmp_path):
+    run = subprocess.run(
+        [sys.executable, "-m", "loadsizer.cli", "size", "--method", "icls", "--n", "2",
+         "--restarts", "-3", "--output-dir", str(tmp_path), str(small_csv)],
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 1, run.stderr
+    assert "restarts must be >= 0" in run.stderr
+    assert "Traceback" not in run.stderr
 
 
 def test_size_milp_refuses_more_than_twenty_loads(small_csv, tmp_path):

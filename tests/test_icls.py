@@ -8,12 +8,16 @@ import pytest
 from loadsizer.errors import DataError
 from loadsizer.icls import (
     _EXHAUSTIVE_LIMIT,
+    _KKT_TOL,
+    _MAX_SWEEPS,
     IclsResult,
     _FitContext,
     _lattice_size,
+    _random_point,
     _result_key,
     SwitchTimes,
     _solve_working_set,
+    _warm_point,
     build_um,
     optimize_m,
     solve_icls_fixed_m,
@@ -268,6 +272,66 @@ def test_warm_start_falls_back_to_cold_start():
     kkt_check(sorted_series(values), fallback, n)
 
 
+def same_fit(a, b):
+    """Bitwise equality of everything a QP and its score decide."""
+    return (
+        a.x_bar.tobytes() == b.x_bar.tobytes()
+        and a.working_set == b.working_set
+        and a.multipliers == b.multipliers
+        and a.iterations == b.iterations
+        and a.warm_hits == b.warm_hits
+        and a.solar_utilization == b.solar_utilization
+        and a.residual_norm == b.residual_norm
+    )
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_batched_sweep_matches_single_solves_bit_for_bit(n):
+    rng = np.random.default_rng(80 + n)
+    total = 240
+    values = np.sort(rng.uniform(0.01, 1.0, size=total) ** 1.5)
+    context = _FitContext(values, n)
+    blocks = 2**n - 1
+    kinds = dict(hit=0, negative=0, infeasible=0, too_many_rows=0, empty=0)
+    for sweep in range(30):
+        k0, free = random_lattice_point(rng, total, n)
+        warm = context.solve(SwitchTimes.from_free(free, total - k0, n), k0).working_set
+        if sweep == 0:
+            warm = tuple(range(n + 1))
+        elif sweep == 1:
+            warm = ()
+        step = int(rng.choice([1, 3, 9, 25]))
+        points = []
+        for coord in range(blocks):
+            for delta in (step, -step):
+                point = [k0, *free]
+                point[coord] += delta
+                if point[0] >= 0 and min(point[1:]) >= 1 and sum(point) <= total - 1:
+                    points.append(point)
+        points = np.array(points)
+        lengths = np.column_stack([points[:, 1:], total - points.sum(axis=1)])
+        fits = context.fits(points[:, 0], lengths, warm)
+        assert len(fits) == len(points)
+        for (offset, *_), row, fit in zip(points.tolist(), lengths.tolist(), fits):
+            m = SwitchTimes(tuple(row))
+            batched = context.result(offset, m, fit, context.utilization(fit.x))
+            single = context.solve(m, offset, warm)
+            assert same_fit(batched, single), (n, sweep, offset, row)
+            if len(warm) > n:
+                kinds["too_many_rows"] += 1
+            elif not warm:
+                kinds["empty"] += 1
+            elif fit.warm_hit:
+                kinds["hit"] += 1
+            else:
+                start = _warm_point(*qp_matrices(values, m, offset, n), list(warm))
+                if start is None:
+                    kinds["infeasible"] += 1
+                elif start[1].min() < -_KKT_TOL:
+                    kinds["negative"] += 1
+    assert min(kinds.values()) > 0, kinds
+
+
 def test_working_set_with_more_rows_than_unknowns_raises():
     n = 3
     rng = np.random.default_rng(71)
@@ -367,6 +431,84 @@ def test_pattern_search_ends_where_no_unit_move_improves(seed):
                     continue
                 trial = context.solve(SwitchTimes.from_free(free, total - k0, n), k0)
                 assert _result_key(trial) > _result_key(found), (n, total, coord, delta)
+
+
+def sequential_search(series, n, restarts=4, seed=42):
+    """The pattern search as it ran before sweeps were batched, kept as an oracle.
+
+    Every point is solved alone and its full result cached.
+    """
+    values = series.values
+    total = values.size
+    blocks = 2**n - 1
+    context = _FitContext(values, n)
+    cache = {}
+
+    def evaluate(k0, free, warm=()):
+        key = (k0, free)
+        if key not in cache:
+            m = SwitchTimes.from_free(free, total - k0, n)
+            cache[key] = context.solve(m, k0, warm)
+        return cache[key]
+
+    rng = np.random.default_rng(seed)
+    starts = [(0, SwitchTimes.equidistant(total, n).free)]
+    k0_mid = total // (blocks + 1)
+    if total - k0_mid >= blocks:
+        starts.append((k0_mid, SwitchTimes.equidistant(total - k0_mid, n).free))
+    while len(starts) < max(restarts, 1) + 1:
+        starts.append(_random_point(rng, total, blocks))
+
+    best = None
+    for k0, free in starts:
+        current = evaluate(k0, free)
+        step = max(total // 16, 1)
+        sweeps = 0
+        while step >= 1 and sweeps < _MAX_SWEEPS:
+            improved = None
+            for coord in range(blocks):
+                for delta in (step, -step):
+                    ck0 = current.offset + (delta if coord == 0 else 0)
+                    cand = list(current.m.free)
+                    if coord > 0:
+                        cand[coord - 1] += delta
+                    if ck0 < 0 or (coord > 0 and cand[coord - 1] < 1):
+                        continue
+                    if ck0 + sum(cand) > total - 1:
+                        continue
+                    trial = evaluate(ck0, tuple(cand), current.working_set)
+                    if _result_key(trial) < _result_key(improved or current):
+                        improved = trial
+            sweeps += 1
+            if improved is None:
+                step //= 2
+            else:
+                current = improved
+        if best is None or _result_key(current) < _result_key(best):
+            best = current
+    solved = list(cache.values())
+    return best, len(solved), sum(r.iterations for r in solved), sum(r.warm_hits for r in solved)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_batched_pattern_search_matches_sequential_oracle(seed):
+    for n, total in [(2, 150), (3, 200)]:
+        assert _lattice_size(total, 2**n - 1) > _EXHAUSTIVE_LIMIT
+        values = np.sort(np.random.default_rng(seed).uniform(0.01, 1.0, size=total) ** 1.5)
+        series = sorted_series(values)
+        found = optimize_m(series, n, restarts=4, seed=seed)
+        best, solves, iterations, hits = sequential_search(series, n, restarts=4, seed=seed)
+        assert repr(found) == repr(
+            IclsResult(**{**vars(best), "restarts_used": found.restarts_used,
+                          "qp_solves": solves, "iterations": iterations, "warm_hits": hits})
+        ), (n, total)
+        assert found.x_bar.tobytes() == best.x_bar.tobytes()
+
+
+def test_optimize_m_refuses_negative_restarts():
+    series = sorted_series(np.linspace(0.1, 1.0, 40))
+    with pytest.raises(DataError, match="restarts must be >= 0"):
+        optimize_m(series, 2, restarts=-3)
 
 
 def test_icls_beats_ecls_on_random_data():

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from loadsizer import dispatch, ecls, milp
+from loadsizer import dispatch, ecls, icls, milp
 from loadsizer.timeseries import SortedSeries
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -42,20 +42,38 @@ def test_tracer_installs_and_restores_every_binding():
     assert t.counts["ecls.c_rejected"] + t.counts["dispatch.capture_best.calls_from.ecls"] == 20
 
 
+def every_binding(tracer):
+    """(module, name, function) for every binding the tracer wraps, as found now."""
+    return [
+        (module, name, getattr(module, name))
+        for _, home, name, holders in tracer.WRAPPED
+        for module in map(tracer._module, [home] + holders)
+    ]
+
+
 def test_tracer_sees_every_branch_and_bound_relaxation():
     tracer = load_tracer()
-    bindings = [
-        (tracer._module(binding), name)
-        for _, home, name, holders in tracer.WRAPPED
-        for binding in [home] + holders
-    ]
-    originals = [getattr(module, name) for module, name in bindings]
+    bindings = every_binding(tracer)
     s = np.round(np.random.default_rng(1).uniform(0.05, 1.0, size=5), 4)
     t = tracer.Tracer()
     with t.installed():
         solution = milp.branch_and_bound(milp.build_instance(s, 2), gap_tol=0.0)
-    assert all(getattr(module, name) is fn for (module, name), fn in zip(bindings, originals))
+    assert all(getattr(module, name) is fn for module, name, fn in bindings)
     assert t.counts["milp.nodes"] == solution.nodes_explored > 1
     # one relaxation per node, each seen through a wrapped binding
     assert t.counts["milp.solve_lp_relaxation.calls"] == t.counts["milp.nodes"]
     assert t.counts["milp.best_sizes_for_schedule.calls"] > 0
+
+
+def test_tracer_counts_every_icls_score():
+    tracer = load_tracer()
+    bindings = every_binding(tracer)
+    # n = 2 over 150 samples is past the exhaustive lattice: a pattern search
+    values = np.sort(np.random.default_rng(3).uniform(0.01, 1.0, size=150) ** 1.5)
+    series = SortedSeries(values=values, source_length=150, zeros_removed=True)
+    t = tracer.Tracer()
+    with t.installed():
+        result = icls.optimize_m(series, 2)
+    assert all(getattr(module, name) is fn for module, name, fn in bindings)
+    assert t.counts["dispatch.capture_best.calls_from.icls"] >= result.qp_solves > 0
+    assert t.counts["icls.optimize_m.calls"] == 1
