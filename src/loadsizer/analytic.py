@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dispatch import combo_states
+from .dispatch import nonzero_combo_rows
 from .errors import DataError, NumericError
 
 _EDGE_GUARD = 1e-6  # fraction of y_max kept away from the arcsin edge
@@ -92,8 +92,7 @@ def _combinations(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Equal sums put the higher combination index first: for two equal units,
     load 1's level first, as in the closed-form two-load Jacobian.
     """
-    n = sizes.size
-    states = np.ascontiguousarray(combo_states(np.arange(1, 2**n), n).T, dtype=float)
+    states = nonzero_combo_rows(sizes.size)
     sums = states @ sizes
     order = sums.size - 1 - np.argsort(sums[::-1], kind="stable")
     return sums[order], states[order]

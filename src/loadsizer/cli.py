@@ -58,6 +58,25 @@ def read_config(path: str | Path) -> dict[str, str]:
     return out
 
 
+def _load_config(ctx: click.Context, _param, path: str | None) -> str | None:
+    """Make a ``--config`` file's values the command's defaults, before any
+    other option is read; explicit flags still win.
+
+    Keys are the long flag names with dashes as underscores (``n`` for
+    ``--n``); a key that names no option of the command is ignored.
+    """
+    if path:
+        names = {
+            opt[2:].replace("-", "_"): param.name
+            for param in ctx.command.params
+            for opt in param.opts
+            if opt.startswith("--")
+        }
+        defaults = {names[k]: v for k, v in read_config(path).items() if k in names}
+        ctx.default_map = {**(ctx.default_map or {}), **defaults}
+    return path
+
+
 _COMMON_OPTIONS = [
     click.option("--seed", default=42, show_default=True, help="Seed for all randomized searches."),
     click.option(
@@ -71,6 +90,8 @@ _COMMON_OPTIONS = [
         "--config",
         default=None,
         type=click.Path(exists=True, dir_okay=False),
+        is_eager=True,
+        callback=_load_config,
         help="key=value defaults file; explicit flags win.",
     ),
     click.option("--resample", default=900, show_default=True, help="Resample interval [s]."),
@@ -81,15 +102,6 @@ def common_options(fn):
     for option in reversed(_COMMON_OPTIONS):
         fn = option(fn)
     return fn
-
-
-def _apply_config(ctx: click.Context, config: str | None) -> None:
-    if not config:
-        return
-    defaults = read_config(config)
-    for param in ctx.command.params:
-        if param.name in defaults and ctx.get_parameter_source(param.name).name == "DEFAULT":
-            ctx.params[param.name] = param.type.convert(defaults[param.name], param, ctx)
 
 
 def _ingest(path: str, resample: int) -> PowerSeries:
@@ -214,7 +226,6 @@ def method_knob_options(fn):
 @click.pass_context
 def fit(ctx, input_csv, **_):
     """Fit the clear-day model and write it as model.json."""
-    _apply_config(ctx, ctx.params.get("config"))
     series = _ingest(input_csv, ctx.params["resample"])
     model = fit_clear_day(series)
     out = _outdir(ctx.params["output_dir"]) / "model.json"
@@ -236,7 +247,6 @@ def fit(ctx, input_csv, **_):
 @click.pass_context
 def size(ctx, input_csv, method, n_loads, denormalize, **_):
     """Optimal static sizes for one method, plus the dispatched schedule."""
-    _apply_config(ctx, ctx.params.get("config"))
     p = ctx.params
     if n_loads < 1:
         raise UsageError("--n must be >= 1")
@@ -267,7 +277,6 @@ def size(ctx, input_csv, method, n_loads, denormalize, **_):
 @click.pass_context
 def schedule(ctx, input_csv, sizes, **_):
     """Dispatch fixed sizes over the series and write the schedule CSV."""
-    _apply_config(ctx, ctx.params.get("config"))
     p = ctx.params
     x = _parse_sizes(sizes)
     series = _ingest(input_csv, p["resample"])
@@ -293,7 +302,6 @@ def schedule(ctx, input_csv, sizes, **_):
 @click.pass_context
 def compare(ctx, input_csv, n_range, clear_day, **_):
     """Run ECLS, ICLS and MILP (and analytic if a clear day is supplied)."""
-    _apply_config(ctx, ctx.params.get("config"))
     p = ctx.params
     ns = _parse_range(n_range)
     if min(ns) < 2 or max(ns) > 6:
@@ -396,7 +404,6 @@ def _write_normalized(rows: list[SizingResult], path: Path) -> None:
 @click.pass_context
 def histogram(ctx, input_csv, sizes, bins, **_):
     """Occurrence counts of each switch combination per time-of-day bin."""
-    _apply_config(ctx, ctx.params.get("config"))
     p = ctx.params
     x = _parse_sizes(sizes)
     series = _ingest(input_csv, p["resample"])
@@ -416,7 +423,6 @@ def histogram(ctx, input_csv, sizes, bins, **_):
 @click.pass_context
 def sensitivity(ctx, input_csv, n_loads, steps, block_length, **_):
     """Full ECLS C sweep: one row per grid value."""
-    _apply_config(ctx, ctx.params.get("config"))
     p = ctx.params
     series = _ingest(input_csv, p["resample"])
     sorted_series = sort_ascending(series, remove_zeros=True)

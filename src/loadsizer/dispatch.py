@@ -4,7 +4,8 @@ Each timestep independently switches on the subset of loads with the
 largest total draw that still fits under the available power. Subsets are
 indexed by the binary order ``d = sum_i u_i * 2^(n-i)`` (load 1 is the most
 significant bit), so ``combo_index`` 0 means all off. Other modules pack
-and unpack this encoding only through ``combo_states`` and ``combo_index``.
+and unpack this encoding only through ``combo_states`` and ``combo_index``,
+and read the table of nonzero combinations from ``nonzero_combo_rows``.
 """
 
 from __future__ import annotations
@@ -81,6 +82,14 @@ def combo_index(u) -> np.ndarray:
     u = np.asarray(u, dtype=np.int64)
     shifts = u.shape[0] - 1 - np.arange(u.shape[0])
     return (u << shifts[:, None]).sum(axis=0)
+
+
+@functools.lru_cache(maxsize=32)
+def nonzero_combo_rows(n: int) -> np.ndarray:
+    """Read-only float (2^n - 1, n) on/off rows of combinations 1 .. 2^n - 1, ascending."""
+    rows = np.ascontiguousarray(combo_states(np.arange(1, 2**n), n).T, dtype=float)
+    rows.flags.writeable = False
+    return rows
 
 
 @functools.lru_cache(maxsize=8)

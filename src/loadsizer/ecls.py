@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dispatch import capture_best, combo_index, combo_states
+from .dispatch import capture_best, combo_index, nonzero_combo_rows
 from .errors import DataError, NumericError
 from .results import format_float
 from .timeseries import SortedSeries
@@ -63,9 +63,7 @@ def build_switch_matrix(n: int, block_length: int = DEFAULT_BLOCK_LENGTH) -> Swi
         raise DataError(f"n must be in 1..12, got {n}")
     if block_length < 1:
         raise DataError("block_length must be >= 1")
-    rows = np.ascontiguousarray(combo_states(np.arange(1, 2**n), n).T, dtype=float)
-    rows.flags.writeable = False
-    return SwitchMatrix(n=n, block_length=block_length, distinct_rows=rows)
+    return SwitchMatrix(n=n, block_length=block_length, distinct_rows=nonzero_combo_rows(n))
 
 
 def select_points(sorted_series: SortedSeries, count: int) -> np.ndarray:
@@ -99,12 +97,41 @@ class EclsResult:
             raise DataError(f"sum(x) = {total} must equal C = {self.C} within 1e-10")
 
 
-def solve_ecls(points, matrix: SwitchMatrix, C: float, warn_negative: bool = True) -> EclsResult:
+def solve_kkt(H, g, A, r):
+    """Solve the bordered KKT system ``[[H, A^T], [A, 0]] [x; m] = [g; r]``.
+
+    Its solution minimizes ``0.5 x^T H x - g^T x`` subject to ``A x = r``,
+    with multipliers m. ``H``, ``g`` and ``r`` may carry the same leading
+    stack axes; each system of a stack gets the bytes it gets alone. More
+    rows in ``A`` than unknowns make the matrix singular, which LAPACK
+    reports only on an exactly zero pivot, so that case raises here; a
+    rank-deficient ``A`` of at most n rows is not detected. Returns
+    ``(x, m)``.
+    """
+    n = H.shape[-1]
+    k = A.shape[0]
+    if k > n:
+        raise np.linalg.LinAlgError(f"{k} constraint rows in {n} unknowns")
+    kkt, rhs = H, g
+    if k:
+        kkt = np.zeros(H.shape[:-2] + (n + k, n + k))
+        kkt[..., :n, :n] = H
+        kkt[..., :n, n:] = A.T
+        kkt[..., n:, :n] = A
+        rhs = np.concatenate([g, r], axis=-1)
+    stacked = H.ndim > 2  # a stack takes its right-hand sides as one-column matrices
+    sol = np.linalg.solve(kkt, rhs[..., None] if stacked else rhs)
+    if stacked:
+        sol = sol[..., 0]
+    return sol[..., :n], sol[..., n:]
+
+
+def solve_ecls(points, matrix: SwitchMatrix, C: float) -> EclsResult:
     """Solve the bordered KKT system of the sum-constrained least squares.
 
     ``[[U^T U, 1], [1^T, 0]] [x; lambda] = [U^T S; C]`` with S the selected
     sorted points. Negative components are possible for pathological data;
-    they are reported, not clamped.
+    they are counted in ``negative_components``, not clamped.
     """
     if not 0.5 <= C <= 1.0:
         raise DataError(f"C must lie in [0.5, 1], got {C}")
@@ -116,33 +143,20 @@ def solve_ecls(points, matrix: SwitchMatrix, C: float, warn_negative: bool = Tru
         raise DataError(f"expected {L * N} points for n={n}, L={L}, got {s.size}")
     rows = matrix.distinct_rows
     block_sums = s.reshape(N, L).sum(axis=1)
-    utu = L * rows.T @ rows
-    uts = rows.T @ block_sums
-    kkt = np.zeros((n + 1, n + 1))
-    kkt[:n, :n] = utu
-    kkt[:n, n] = 1.0
-    kkt[n, :n] = 1.0
-    rhs = np.concatenate([uts, [C]])
     try:
-        sol = np.linalg.solve(kkt, rhs)
+        x, lam = solve_kkt(L * rows.T @ rows, rows.T @ block_sums, np.ones((1, n)), np.array([C]))
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"singular KKT system for n={n}, L={L}: {exc}") from exc
-    x = sol[:n]
-    lam = float(sol[n])
     resid = s - np.repeat(rows @ x, L)
-    negative = int((x <= 0).sum())
-    if negative and warn_negative:
-        logger.warning("ECLS solution at C=%.4f has %d non-positive size(s): %s", C, negative, x)
-    x_sorted = np.sort(x)[::-1]
     return EclsResult(
-        x=x_sorted,
-        lam=lam,
+        x=np.sort(x)[::-1],
+        lam=float(lam[0]),
         C=float(C),
         residual_norm=float(np.linalg.norm(resid)),
         solar_utilization=math.nan,
         n=n,
         block_length=L,
-        negative_components=negative,
+        negative_components=int((x <= 0).sum()),
     )
 
 
@@ -169,7 +183,7 @@ def sensitivity_table(
     out = []
     skipped = 0
     for C in np.linspace(0.5, 1.0, c_steps):
-        result = solve_ecls(points, matrix, float(C), warn_negative=False)
+        result = solve_ecls(points, matrix, float(C))
         if result.negative_components:
             skipped += 1
             out.append(result)  # utilization stays NaN; never ranked best

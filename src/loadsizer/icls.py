@@ -17,6 +17,7 @@ the whole series, which cripples the sizing on real dawn/dusk data.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import dataclasses
 import functools
 import itertools
@@ -27,8 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dispatch import capture_best
-from .ecls import build_switch_matrix
+from .dispatch import capture_best, nonzero_combo_rows
+from .ecls import solve_kkt
 from .errors import DataError, NumericError
 from .timeseries import SortedSeries
 
@@ -82,7 +83,7 @@ class SwitchTimes:
 
 def build_um(m: SwitchTimes, n: int) -> np.ndarray:
     """Dense switch-state matrix with block k repeated ``m_k`` times."""
-    rows = build_switch_matrix(n, block_length=1).distinct_rows
+    rows = nonzero_combo_rows(n)
     if len(m.lengths) != rows.shape[0]:
         raise DataError(f"{len(m.lengths)} blocks do not match n={n}")
     return np.repeat(rows, m.lengths, axis=0)
@@ -120,43 +121,7 @@ class IclsResult:
     warm_hits: int = 0
 
 
-def _solve_working_set(H, g, C, b, working):
-    """Equality-constrained QP on the working set; returns (x, multipliers).
-
-    More rows than unknowns make the KKT matrix singular, which LAPACK
-    reports only on an exactly zero pivot, so that case raises here. A
-    rank-deficient set of at most n rows is not detected.
-    """
-    n = H.shape[0]
-    k = len(working)
-    if k > n:
-        raise np.linalg.LinAlgError(f"{k} working-set rows in {n} unknowns")
-    if k == 0:
-        return np.linalg.solve(H, g), np.array([])
-    kkt = np.zeros((n + k, n + k))
-    kkt[:n, :n] = H
-    cw = C[working]
-    kkt[:n, n:] = cw.T
-    kkt[n:, :n] = cw
-    rhs = np.concatenate([g, b[working]])
-    sol = np.linalg.solve(kkt, rhs)
-    return sol[:n], sol[n:]
-
-
-def _warm_point(H, g, C, b, warm):
-    """The EQP point on ``warm`` if it is primal feasible, else None."""
-    try:
-        x, mult = _solve_working_set(H, g, C, b, warm)
-    except np.linalg.LinAlgError:
-        return None
-    outside = np.ones(C.shape[0], dtype=bool)
-    outside[warm] = False
-    if not (C[outside] @ x <= b[outside]).all():
-        return None
-    return x, mult
-
-
-def _active_set_qp(H, g, C, b, max_iter, warm=()):
+def _active_set_qp(H, g, C, b, max_iter, x, working, mult):
     """Minimize 0.5 x'Hx - g'x subject to Cx <= b (H strictly convex).
 
     Classic primal active-set iteration (Nocedal & Wright, Numerical
@@ -167,33 +132,22 @@ def _active_set_qp(H, g, C, b, max_iter, warm=()):
     kept sorted, so every KKT system is built in one canonical row order
     and the answer does not depend on the path taken to its working set.
 
-    The start is the EQP point of a ``warm`` working set (a neighbouring
-    QP's) if it is feasible, else of the nonnegativity rows, whose point
-    x = 0 is feasible as b >= 0. It is returned if no multiplier is
-    negative (a warm hit if ``warm`` gave it), else iterated from.
-
-    Returns ``(x, working, multipliers, iterations, warm_hit)``.
+    It starts from ``x``, the feasible EQP point of the sorted ``working``
+    set, whose multipliers ``mult`` have a negative entry; that EQP counts
+    as the first iteration. Returns ``(x, working, multipliers, iterations)``.
     """
-    working = sorted(warm)
-    start = _warm_point(H, g, C, b, working) if working else None
-    warm_hit = start is not None
-    if not warm_hit:
-        working = list(range(H.shape[0]))
-        start = _solve_working_set(H, g, C, b, working)
-    x, mult = start
-    if mult.size == 0 or mult.min() >= -_KKT_TOL:
-        return x, working, mult, 1, warm_hit
+    working = list(working)
     working.pop(int(np.argmin(mult)))
     iteration = 1
     while iteration < max_iter:
         iteration += 1
         try:
-            x_eq, mult = _solve_working_set(H, g, C, b, working)
+            x_eq, mult = solve_kkt(H, g, C[working], b[working])
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"singular working-set system {working}: {exc}") from exc
         if np.abs(x_eq - x).max() <= 1e-13:
             if mult.size == 0 or mult.min() >= -_KKT_TOL:
-                return x_eq, working, mult, iteration, False
+                return x_eq, working, mult, iteration
             working.pop(int(np.argmin(mult)))
             continue
         d = x_eq - x
@@ -234,10 +188,11 @@ class _FitContext:
     """Shared per-series geometry so an outer m search can solve cheaply."""
 
     def __init__(self, values: np.ndarray, n: int):
+        if not 1 <= n <= 12:
+            raise DataError(f"n must be in 1..12, got {n}")
         self.values = values
         self.n = n
-        rows = build_switch_matrix(n, block_length=1).distinct_rows
-        self.w = rows @ upper_ones(n)
+        self.w = nonzero_combo_rows(n) @ upper_ones(n)
         self.prefix = np.concatenate([[0.0], np.cumsum(values)])
         self.total_power = float(values.sum())
         # constraint rows: x_bar >= 0, then one cap per block
@@ -256,13 +211,16 @@ class _FitContext:
     ) -> list[_Fit]:
         """Solve the QP of every row of ``lengths`` above its offset, from ``warm``.
 
-        Every fit gets the bytes `_active_set_qp` gives it alone. The EQP on
-        ``warm`` is solved for all rows in one stacked `np.linalg.solve`,
-        which runs the same LAPACK call per matrix, and its feasibility and
-        multipliers are tested for the whole stack. Only the rows it misses
-        go through `_active_set_qp`: from ``warm`` again when the point is
-        feasible with a negative multiplier (or some row's KKT matrix is
-        singular, which fails the whole stack), else from the cold start.
+        A lone fit is a stack of one. The EQP on ``warm`` is solved for the
+        whole stack in one `solve_kkt`, and its feasibility and multipliers
+        are tested for the whole stack; a singular system fails the stack,
+        which is then solved one QP at a time. The rows whose warm point is
+        infeasible, singular or missing start from the EQP on the
+        nonnegativity rows instead, whose point x_bar = 0 is feasible as
+        b >= 0, again as one stack. A start whose multipliers are all
+        nonnegative is the answer (a warm hit if it came from ``warm``);
+        only the others run `_active_set_qp`, from that start. Every fit
+        gets the bytes it gets alone.
         """
         n = self.n
         count = len(offsets)
@@ -275,37 +233,41 @@ class _FitContext:
         g = np.matmul(self.w.T, block_sums[:, :, None])[:, :, 0]
         b = np.zeros((count, self.C.shape[0]))
         b[:, n:] = self.values[starts]
+        # each QP's first EQP: (x_bar, working set, multipliers, optimal, warm)
+        first = [None] * count
         warm_rows = sorted(warm)
-        k = len(warm_rows)
-        solved = [None] * count  # (x_bar, working, multipliers, iterations, warm hit)
-        start = [warm] * count  # where each miss starts `_active_set_qp`
-        # no warm set means the cold start, and more rows than unknowns a
-        # singular KKT matrix, so every row misses; a lone fit is cheaper
-        # in `_active_set_qp` than in a stack of one
-        if count > 1 and 0 < k <= n:
-            cw = self.C[warm_rows]
-            kkt = np.zeros((count, n + k, n + k))
-            kkt[:, :n, :n] = H
-            kkt[:, :n, n:] = cw.T
-            kkt[:, n:, :n] = cw
-            rhs = np.concatenate([g, b[:, warm_rows]], axis=1)
+        if warm_rows:
+            rows = np.array(warm_rows)
+            cw, bw = self.C[rows], b[:, rows]
             try:
-                sol = np.linalg.solve(kkt, rhs[:, :, None])[:, :, 0]
+                x_bar, mult = solve_kkt(H, g, cw, bw)
             except np.linalg.LinAlgError:
-                pass  # every row tries ``warm`` alone
-            else:
-                outside = np.ones(self.C.shape[0], dtype=bool)
-                outside[warm_rows] = False
-                drawn = np.matmul(self.C[outside], sol[:, :n, None])[:, :, 0]
-                feasible = (drawn <= b[:, outside]).all(axis=1)
-                optimal = sol[:, n:].min(axis=1) >= -_KKT_TOL
-                for i in np.flatnonzero(feasible & optimal).tolist():
-                    solved[i] = (sol[i, :n], warm_rows, sol[i, n:], 1, True)
-                for i in np.flatnonzero(~feasible).tolist():
-                    start[i] = ()
-        for i, row in enumerate(solved):
-            if row is None:
-                solved[i] = _active_set_qp(H[i], g[i], self.C, b[i], self.max_iter, start[i])
+                # one singular system fails the stack: solve each alone,
+                # leaving NaN (infeasible below) where that fails too
+                x_bar, mult = np.full((count, n), np.nan), np.full(bw.shape, np.nan)
+                for i in range(count):
+                    with contextlib.suppress(np.linalg.LinAlgError):
+                        x_bar[i], mult[i] = solve_kkt(H[i], g[i], cw, bw[i])
+            outside = np.ones(self.C.shape[0], dtype=bool)
+            outside[rows] = False
+            drawn = np.matmul(self.C[outside], x_bar[:, :, None])[:, :, 0]
+            feasible = (drawn <= b[:, outside]).all(axis=1).tolist()
+            optimal = (mult.min(axis=1) >= -_KKT_TOL).tolist()
+            for i in itertools.compress(range(count), feasible):
+                first[i] = (x_bar[i], warm_rows, mult[i], optimal[i], True)
+        cold = [i for i, start in enumerate(first) if start is None]
+        if cold:
+            x_bar, mult = solve_kkt(H[cold], g[cold], self.C[:n], b[cold, :n])
+            optimal = (mult.min(axis=1) >= -_KKT_TOL).tolist()
+            nonnegative = list(range(n))
+            for i, row_x_bar, row_mult, row_optimal in zip(cold, x_bar, mult, optimal):
+                first[i] = (row_x_bar, nonnegative, row_mult, row_optimal, False)
+        solved = [  # (x_bar, working set, multipliers, iterations, warm hit)
+            (x, working, mult, 1, warm_start)
+            if optimal
+            else (*_active_set_qp(H[i], g[i], self.C, b[i], self.max_iter, x, working, mult), False)
+            for i, (x, working, mult, optimal, warm_start) in enumerate(first)
+        ]
         x_bar = np.array([row[0] for row in solved])
         x_bar = np.where(np.abs(x_bar) < 1e-14, 0.0, x_bar)
         x = np.matmul(upper_ones(n), x_bar[:, :, None])[:, :, 0]

@@ -195,7 +195,7 @@ def test_criterion_04_ecls_exactness():
             points = np.sort(rng.uniform(1e-3, 1.0, size=count))
             mat = build_switch_matrix(n, block_length=L)
             C = float(rng.uniform(0.5, 1.0))
-            res = solve_ecls(points, mat, C, warn_negative=False)
+            res = solve_ecls(points, mat, C)
             u = mat.dense()
             # KKT residual in the solver's column order: recover by matching
             # the sorted output against all column permutations

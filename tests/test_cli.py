@@ -227,6 +227,89 @@ def test_config_defaults_and_flag_precedence(runner, small_csv, tmp_path):
     assert len((tmp_path / "sensitivity.csv").read_text().strip().splitlines()) == 6
 
 
+def outputs(directory):
+    """Every file a run wrote, JSON results without their runtime."""
+    files = {}
+    for path in sorted(directory.iterdir()):
+        if path.suffix == ".json":
+            payload = json.loads(path.read_text())
+            payload.pop("runtime_seconds")
+            files[path.name] = payload
+        else:
+            files[path.name] = path.read_text()
+    return files
+
+
+# (config line, the same value as flags, the command around it, what it must change)
+CONFIG_KEYS = {
+    "size_n": (
+        "n=3", ["--n", "3"], ["size", "--method", "ecls", "--block-length", "4"],
+        lambda files: "result_ecls_n3.json" in files,
+    ),
+    "size_denormalize": (
+        "denormalize=true", ["--denormalize"], ["size", "--method", "ecls"],
+        lambda files: "x_watts" in files["result_ecls_n2.json"]["diagnostics"],
+    ),
+    "histogram_bins": (
+        "bins=4", ["--bins", "4"], ["histogram", "--sizes", "0.5,0.25"],
+        lambda files: {row.split(",")[0] for row in files["histogram.csv"].split()[1:]}
+        <= {"0", "1", "2", "3"},
+    ),
+    "histogram_sizes": (
+        "sizes=0.5,0.25", ["--sizes", "0.5,0.25"], ["histogram"],
+        lambda files: "histogram.csv" in files,
+    ),
+    "schedule_sizes": (
+        "sizes=0.5,0.25", ["--sizes", "0.5,0.25"], ["schedule"],
+        lambda files: "schedule.csv" in files,
+    ),
+    "compare_n_range": (
+        "n_range=2-2", ["--n-range", "2-2"], ["compare", "--ratio", "1", "--node-limit", "5"],
+        lambda files: {row.split(",")[0] for row in files["comparison.csv"].split()[1:]} == {"2"},
+    ),
+    "compare_clear_day": (
+        "clear_day={clear}", ["--clear-day", "{clear}"],
+        ["compare", "--n-range", "2-2", "--ratio", "1", "--node-limit", "5"],
+        lambda files: ",analytic," in files["comparison.csv"],
+    ),
+    "sensitivity_n": (
+        "n=4", ["--n", "4"], ["sensitivity", "--steps", "5", "--block-length", "4"],
+        lambda files: files["sensitivity.csv"].startswith("C,x1,x2,x3,x4,SU"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CONFIG_KEYS)
+def test_config_key_acts_like_its_flag(runner, small_csv, clear_day_csv, tmp_path, case):
+    line, flags, command, changed = CONFIG_KEYS[case]
+    line = line.format(clear=clear_day_csv)
+    flags = [flag.format(clear=clear_day_csv) for flag in flags]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    runs = {}
+    for name, extra in [("config", ["--config", str(cfg)]), ("flags", flags)]:
+        out = tmp_path / name
+        result = runner.invoke(main, command + [str(small_csv), "--output-dir", str(out)] + extra)
+        assert result.exit_code == 0, result.output
+        runs[name] = outputs(out)
+    assert runs["config"] == runs["flags"]
+    assert changed(runs["config"])
+
+
+def test_flag_beats_config_for_n(runner, small_csv, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n=3\n")
+    result = runner.invoke(
+        main,
+        [
+            "sensitivity", "--n", "2", "--steps", "5", "--block-length", "4", str(small_csv),
+            "--config", str(cfg), "--output-dir", str(tmp_path),
+        ],
+    )
+    assert result.exit_code == 0, result.output
+    assert (tmp_path / "sensitivity.csv").read_text().startswith("C,x1,x2,SU")
+
+
 def test_config_ignores_keys_of_removed_options(runner, tmp_path):
     # big_m and no_tighten were MILP options once; old config files keep working
     path = write_csv(tmp_path / "three.csv", np.array([300.0, 600.0, 900.0]))

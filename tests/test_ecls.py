@@ -15,6 +15,7 @@ from loadsizer.ecls import (
     select_points,
     sensitivity_table,
     solve_ecls,
+    solve_kkt,
     write_sensitivity_csv,
 )
 from loadsizer.errors import DataError
@@ -159,6 +160,56 @@ def test_unconstrained_residual_never_larger():
     free_resid = np.linalg.norm(points - u @ x_free)
     result = solve_ecls(points, matrix, C=0.8)
     assert free_resid <= result.residual_norm + 1e-12
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_solve_kkt_stacked_matches_alone_bit_for_bit(k):
+    rng = np.random.default_rng(50 + k)
+    n, count = 4, 9
+    G = rng.normal(size=(count, 7, n))
+    H = np.matmul(G.transpose(0, 2, 1), G)
+    g = rng.normal(size=(count, n))
+    A = rng.normal(size=(k, n))
+    r = rng.normal(size=(count, k))
+    x, m = solve_kkt(H, g, A, r)
+    assert x.shape == (count, n) and m.shape == (count, k)
+    for i in range(count):
+        x_alone, m_alone = solve_kkt(H[i], g[i], A, r[i])
+        assert x_alone.tobytes() == x[i].tobytes()
+        assert m_alone.tobytes() == m[i].tobytes()
+        assert (np.abs(H[i] @ x_alone + A.T @ m_alone - g[i]) <= 1e-9).all()
+        assert (np.abs(A @ x_alone - r[i]) <= 1e-9).all()
+
+
+def bordered_ecls(points, matrix, C):
+    """``solve_ecls``'s own bordered KKT build from before `solve_kkt`, kept as an oracle."""
+    s = np.asarray(points, dtype=float).ravel()
+    n, L = matrix.n, matrix.block_length
+    rows = matrix.distinct_rows
+    block_sums = s.reshape(2**n - 1, L).sum(axis=1)
+    kkt = np.zeros((n + 1, n + 1))
+    kkt[:n, :n] = L * rows.T @ rows
+    kkt[:n, n] = 1.0
+    kkt[n, :n] = 1.0
+    sol = np.linalg.solve(kkt, np.concatenate([rows.T @ block_sums, [C]]))
+    x = sol[:n]
+    resid = s - np.repeat(rows @ x, L)
+    return np.sort(x)[::-1], float(sol[n]), float(np.linalg.norm(resid))
+
+
+def test_solve_ecls_matches_bordered_build_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        n = int(rng.integers(1, 7))
+        L = int(rng.integers(1, 21))
+        points = np.sort(rng.uniform(0.01, 1.0, size=L * (2**n - 1)) ** 1.5)
+        matrix = build_switch_matrix(n, block_length=L)
+        C = float(rng.uniform(0.5, 1.0))
+        result = solve_ecls(points, matrix, C)
+        x, lam, residual = bordered_ecls(points, matrix, C)
+        assert result.x.tobytes() == x.tobytes()
+        assert result.lam.hex() == lam.hex()
+        assert result.residual_norm.hex() == residual.hex()
 
 
 def test_c_out_of_range_rejected():

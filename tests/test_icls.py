@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from loadsizer.ecls import solve_kkt
 from loadsizer.errors import DataError
 from loadsizer.icls import (
     _EXHAUSTIVE_LIMIT,
@@ -16,8 +17,6 @@ from loadsizer.icls import (
     _random_point,
     _result_key,
     SwitchTimes,
-    _solve_working_set,
-    _warm_point,
     build_um,
     optimize_m,
     solve_icls_fixed_m,
@@ -324,10 +323,13 @@ def test_batched_sweep_matches_single_solves_bit_for_bit(n):
             elif fit.warm_hit:
                 kinds["hit"] += 1
             else:
-                start = _warm_point(*qp_matrices(values, m, offset, n), list(warm))
-                if start is None:
+                H, g, C, b = qp_matrices(values, m, offset, n)
+                rows = sorted(warm)
+                x, mult = solve_kkt(H, g, C[rows], b[rows])
+                outside = np.setdiff1d(np.arange(C.shape[0]), rows)
+                if (C[outside] @ x > b[outside]).any():
                     kinds["infeasible"] += 1
-                elif start[1].min() < -_KKT_TOL:
+                elif mult.min() < -_KKT_TOL:
                     kinds["negative"] += 1
     assert min(kinds.values()) > 0, kinds
 
@@ -342,7 +344,9 @@ def test_working_set_with_more_rows_than_unknowns_raises():
     # the KKT matrix is singular, but LAPACK meets no exactly zero pivot
     # and would return multipliers of order 1e16
     with pytest.raises(np.linalg.LinAlgError):
-        _solve_working_set(H, g, C, b, list(range(n + 1)))
+        solve_kkt(H, g, C[: n + 1], b[: n + 1])
+    with pytest.raises(np.linalg.LinAlgError):  # in a stack too
+        solve_kkt(H[None], g[None], C[: n + 1], b[None, : n + 1])
 
 
 # ---------------------------------------------------------------------------
