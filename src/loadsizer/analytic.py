@@ -222,10 +222,10 @@ def _ascend(model, start, cap: float, tol: float):
     """
     y = np.maximum(_project_simplex_cap(np.asarray(start, dtype=float), cap), 1e-12)
     area = _staircase(model, y)[3]
+    g = _area_gradient(model, y)
+    norm = float(np.linalg.norm(g))
     s = 1e-4
     for iterations in range(1, _ASCENT_MAX_ITER + 1):
-        g = _area_gradient(model, y)
-        norm = float(np.linalg.norm(g))
         if norm < tol:
             stop = "tol"
             break
@@ -233,6 +233,8 @@ def _ascend(model, start, cap: float, tol: float):
         cand_area = _staircase(model, cand)[3]
         if cand_area > area:
             y, area = cand, cand_area
+            g = _area_gradient(model, y)
+            norm = float(np.linalg.norm(g))
             s = min(s * 1.5, 1e-2)
         else:
             s *= 0.5

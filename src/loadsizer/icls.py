@@ -17,7 +17,6 @@ the whole series, which cripples the sizing on real dawn/dusk data.
 from __future__ import annotations
 
 import bisect
-import contextlib
 import dataclasses
 import functools
 import itertools
@@ -103,8 +102,10 @@ class IclsResult:
 
     ``qp_solves``, ``iterations`` and ``warm_hits`` count the work behind
     the result: for a fixed-m solve that is its one QP; ``optimize_m``
-    reports the totals over every QP of its search. A warm hit is a QP
-    whose warm working set was optimal as given.
+    reports the totals over every QP of its search. ``iterations`` counts
+    the EQPs solved: the warm working set's, when its stacked solve ran,
+    and each of the active-set iteration's; a cold start solves none.
+    A warm hit is a QP whose warm working set was optimal as given.
     """
 
     x_bar: np.ndarray = field(repr=False)
@@ -133,44 +134,45 @@ def _active_set_qp(H, g, C, b, max_iter, x, working, mult):
     and the answer does not depend on the path taken to its working set.
 
     It starts from ``x``, the feasible EQP point of the sorted ``working``
-    set, whose multipliers ``mult`` have a negative entry; that EQP counts
-    as the first iteration. Returns ``(x, working, multipliers, iterations)``.
+    set with multipliers ``mult``, and returns at once when they are all
+    >= -``_KKT_TOL``. A full step lands on the EQP point just solved, so
+    its multipliers are tested without solving that working set again.
+    Returns ``(x, working, multipliers, EQPs solved)``.
     """
     working = list(working)
-    working.pop(int(np.argmin(mult)))
-    iteration = 1
-    while iteration < max_iter:
-        iteration += 1
-        try:
-            x_eq, mult = solve_kkt(H, g, C[working], b[working])
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"singular working-set system {working}: {exc}") from exc
-        if np.abs(x_eq - x).max() <= 1e-13:
-            if mult.size == 0 or mult.min() >= -_KKT_TOL:
-                return x_eq, working, mult, iteration
-            working.pop(int(np.argmin(mult)))
-            continue
-        d = x_eq - x
-        rates = C @ d
-        slack = b - C @ x
-        # rows that can block a step of length < 1 - 1e-15, in index order;
-        # the scan keeps the first row outside the working set that beats
-        # the running ratio by 1e-15
-        rows = np.flatnonzero(rates > 1e-14)
-        ratios = slack[rows] / rates[rows]
-        near = ratios < 1.0 - 1e-15
-        blocking = -1
-        alpha = 1.0
-        for i, ratio in zip(rows[near].tolist(), ratios[near].tolist()):
-            if ratio < alpha - 1e-15 and i not in working:
-                alpha = max(ratio, 0.0)
-                blocking = i
-        x = x + alpha * d
-        if blocking >= 0:
-            bisect.insort(working, blocking)
-        # alpha == 1 with no blocking constraint loops back to the
-        # stationarity test on the same working set
-    raise NumericError(f"active set did not terminate; working set {working}")
+    x_eq, solves = x, 0
+    while mult.size and mult.min() < -_KKT_TOL:
+        working.pop(int(np.argmin(mult)))
+        blocking = 0
+        while blocking >= 0:  # until a full step or a stationary EQP point
+            if solves == max_iter:
+                raise NumericError(f"active set did not terminate; working set {working}")
+            solves += 1
+            try:
+                x_eq, mult = solve_kkt(H, g, C[working], b[working])
+            except np.linalg.LinAlgError as exc:
+                raise NumericError(f"singular working-set system {working}: {exc}") from exc
+            d = x_eq - x
+            if np.abs(d).max() <= 1e-13:
+                break
+            rates = C @ d
+            slack = b - C @ x
+            # rows that can block a step of length < 1 - 1e-15, in index order;
+            # the scan keeps the first row outside the working set that beats
+            # the running ratio by 1e-15
+            rows = np.flatnonzero(rates > 1e-14)
+            ratios = slack[rows] / rates[rows]
+            near = ratios < 1.0 - 1e-15
+            blocking = -1
+            alpha = 1.0
+            for i, ratio in zip(rows[near].tolist(), ratios[near].tolist()):
+                if ratio < alpha - 1e-15 and i not in working:
+                    alpha = max(ratio, 0.0)
+                    blocking = i
+            x = x + alpha * d
+            if blocking >= 0:
+                bisect.insort(working, blocking)
+    return x_eq, working, mult, solves
 
 
 class _Fit(NamedTuple):
@@ -211,16 +213,16 @@ class _FitContext:
     ) -> list[_Fit]:
         """Solve the QP of every row of ``lengths`` above its offset, from ``warm``.
 
-        A lone fit is a stack of one. The EQP on ``warm`` is solved for the
-        whole stack in one `solve_kkt`, and its feasibility and multipliers
-        are tested for the whole stack; a singular system fails the stack,
-        which is then solved one QP at a time. The rows whose warm point is
-        infeasible, singular or missing start from the EQP on the
-        nonnegativity rows instead, whose point x_bar = 0 is feasible as
-        b >= 0, again as one stack. A start whose multipliers are all
-        nonnegative is the answer (a warm hit if it came from ``warm``);
-        only the others run `_active_set_qp`, from that start. Every fit
-        gets the bytes it gets alone.
+        A lone fit is a stack of one. Every QP starts at the exact EQP point
+        of a working set: the warm one, solved for the whole stack in one
+        `solve_kkt`, where that point is feasible; else the nonnegativity
+        rows, whose point x_bar = 0 with multipliers -g is feasible as
+        b >= 0 and is written down, not solved. A warm stack whose
+        `solve_kkt` raises starts cold as a whole: only more rows than
+        unknowns do that, as final working sets are linearly independent
+        and H is positive definite. `_active_set_qp` then runs from every
+        start. ``iterations`` counts the fit's EQPs, its row of the warm
+        stack included. Every fit gets the bytes it gets alone.
         """
         n = self.n
         count = len(offsets)
@@ -233,49 +235,36 @@ class _FitContext:
         g = np.matmul(self.w.T, block_sums[:, :, None])[:, :, 0]
         b = np.zeros((count, self.C.shape[0]))
         b[:, n:] = self.values[starts]
-        # each QP's first EQP: (x_bar, working set, multipliers, optimal, warm)
-        first = [None] * count
+        # each QP's start: (x_bar, working set, multipliers, warm)
+        first = [(np.zeros(n), list(range(n)), -row_g, False) for row_g in g]
+        warm_solves = 0
         warm_rows = sorted(warm)
         if warm_rows:
             rows = np.array(warm_rows)
-            cw, bw = self.C[rows], b[:, rows]
             try:
-                x_bar, mult = solve_kkt(H, g, cw, bw)
+                x_bar, mult = solve_kkt(H, g, self.C[rows], b[:, rows])
             except np.linalg.LinAlgError:
-                # one singular system fails the stack: solve each alone,
-                # leaving NaN (infeasible below) where that fails too
-                x_bar, mult = np.full((count, n), np.nan), np.full(bw.shape, np.nan)
-                for i in range(count):
-                    with contextlib.suppress(np.linalg.LinAlgError):
-                        x_bar[i], mult[i] = solve_kkt(H[i], g[i], cw, bw[i])
-            outside = np.ones(self.C.shape[0], dtype=bool)
-            outside[rows] = False
-            drawn = np.matmul(self.C[outside], x_bar[:, :, None])[:, :, 0]
-            feasible = (drawn <= b[:, outside]).all(axis=1).tolist()
-            optimal = (mult.min(axis=1) >= -_KKT_TOL).tolist()
-            for i in itertools.compress(range(count), feasible):
-                first[i] = (x_bar[i], warm_rows, mult[i], optimal[i], True)
-        cold = [i for i, start in enumerate(first) if start is None]
-        if cold:
-            x_bar, mult = solve_kkt(H[cold], g[cold], self.C[:n], b[cold, :n])
-            optimal = (mult.min(axis=1) >= -_KKT_TOL).tolist()
-            nonnegative = list(range(n))
-            for i, row_x_bar, row_mult, row_optimal in zip(cold, x_bar, mult, optimal):
-                first[i] = (row_x_bar, nonnegative, row_mult, row_optimal, False)
-        solved = [  # (x_bar, working set, multipliers, iterations, warm hit)
-            (x, working, mult, 1, warm_start)
-            if optimal
-            else (*_active_set_qp(H[i], g[i], self.C, b[i], self.max_iter, x, working, mult), False)
-            for i, (x, working, mult, optimal, warm_start) in enumerate(first)
+                pass  # more rows than unknowns: the whole stack starts cold
+            else:
+                warm_solves = 1
+                outside = np.ones(self.C.shape[0], dtype=bool)
+                outside[rows] = False
+                drawn = np.matmul(self.C[outside], x_bar[:, :, None])[:, :, 0]
+                feasible = (drawn <= b[:, outside]).all(axis=1).tolist()
+                for i in itertools.compress(range(count), feasible):
+                    first[i] = (x_bar[i], warm_rows, mult[i], True)
+        solved = [  # (x_bar, working set, multipliers, EQPs solved)
+            _active_set_qp(H[i], g[i], self.C, b[i], self.max_iter, *start[:3])
+            for i, start in enumerate(first)
         ]
         x_bar = np.array([row[0] for row in solved])
         x_bar = np.where(np.abs(x_bar) < 1e-14, 0.0, x_bar)
         x = np.matmul(upper_ones(n), x_bar[:, :, None])[:, :, 0]
         return [
-            _Fit(row_x_bar, row_x, tuple(row_working), mult, iterations, warm_hit)
-            for row_x_bar, row_x, (_, row_working, mult, iterations, warm_hit) in zip(
-                x_bar, x, solved
+            _Fit(
+                row_x_bar, row_x, tuple(working), mult, warm_solves + solves, start[3] and not solves
             )
+            for row_x_bar, row_x, (_, working, mult, solves), start in zip(x_bar, x, solved, first)
         ]
 
     def result(self, offset: int, m: SwitchTimes, fit: _Fit, su: float) -> IclsResult:

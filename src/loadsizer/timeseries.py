@@ -12,7 +12,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
-from datetime import datetime
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -59,9 +59,9 @@ class PowerSeries:
         return self.values.size
 
     def timestamps(self) -> list[datetime]:
-        step = np.timedelta64(self.interval_seconds, "s")
-        t0 = np.datetime64(self.start)
-        return [(t0 + k * step).astype(datetime) for k in range(len(self))]
+        """Each sample's time; an offset-aware ``start`` keeps its offset."""
+        step = timedelta(seconds=self.interval_seconds)
+        return [self.start + k * step for k in range(len(self))]
 
 
 @dataclass(frozen=True)
@@ -120,6 +120,10 @@ def load_series(path: str | Path, resample_seconds: int) -> PowerSeries:
             if len(row) < 2:
                 raise ParseError(f"line {lineno}: expected two columns, got {row}")
             ts = _parse_timestamp(row[0], lineno)
+            if times and (ts.tzinfo is None) != (times[0].tzinfo is None):
+                raise ParseError(
+                    f"line {lineno}: timestamp {row[0]!r} mixes offset-aware and naive rows"
+                )
             try:
                 p = float(row[1])
             except ValueError as exc:
@@ -320,17 +324,18 @@ class ClearSkyModel:
 
 def model_inverse(model: ClearSkyModel, y: float) -> float:
     """Negative-branch inverse of the trig arch: the (negative) time at which
-    the rising clear-day curve crosses level ``y``."""
+    the rising clear-day curve crosses level ``y``, the arch's half-width
+    there negated."""
     if not 0 < y < model.y_max:
         raise DataError(f"y must lie in (0, {model.y_max}), got {y}")
-    return model.alpha * math.asin(model.beta * y) + model.gamma
+    return -model.half_width(y)
 
 
 def model_inverse_derivative(model: ClearSkyModel, y: float) -> float:
-    """d/dy of :func:`model_inverse` (calculus-consistent form)."""
+    """d/dy of :func:`model_inverse`: the half-width's slope negated."""
     if not 0 < y < model.y_max:
         raise DataError(f"y must lie in (0, {model.y_max}), got {y}")
-    return model.alpha * model.beta / math.sqrt(1.0 - (model.beta * y) ** 2)
+    return -model.half_width_slope(y)
 
 
 def _daylight_window(values: np.ndarray) -> tuple[int, int]:

@@ -7,7 +7,7 @@ import json
 import re
 import subprocess
 import sys
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -115,6 +115,45 @@ def test_schedule_command(runner, tmp_path):
     assert result.exit_code == 0, result.output
     lines = (tmp_path / "schedule.csv").read_text().splitlines()
     assert len(lines) == 4
+
+
+def test_schedule_keeps_the_input_utc_offset(runner, tmp_path):
+    # one day at 15 min from 05:00+02:00; the histogram bins by that local time
+    start = datetime(2021, 6, 21, 5, tzinfo=timezone(timedelta(hours=2)))
+    arch = np.sin(np.linspace(0, np.pi, 60)) * 1000 + 1
+    day = np.concatenate([np.zeros(8), arch, np.zeros(28)])
+    path = write_csv(tmp_path / "offset.csv", day, start=start)
+    for command in ("schedule", "histogram"):
+        result = runner.invoke(
+            main, [command, "--sizes", "0.5,0.25", str(path), "--output-dir", str(tmp_path)]
+        )
+        assert result.exit_code == 0, result.output
+    rows = list(csv.DictReader(open(tmp_path / "schedule.csv")))
+    stamps = [r["timestamp"] for r in rows]
+    assert stamps[0] == "2021-06-21T05:00:00+02:00"
+    assert stamps == [(start + k * timedelta(minutes=15)).isoformat() for k in range(day.size)]
+    lit = {datetime.fromisoformat(r["timestamp"]).hour for r in rows if float(r["S"]) > 0}
+    hist = csv.DictReader(open(tmp_path / "histogram.csv"))
+    assert {int(r["bin"]) for r in hist} == lit
+
+
+def test_mixed_naive_and_offset_rows_are_a_parse_error(tmp_path):
+    path = tmp_path / "mixed.csv"
+    path.write_text(
+        "timestamp,power_w\n"
+        "2021-06-21T05:00:00,100\n"
+        "2021-06-21T05:15:00+02:00,200\n"
+        "2021-06-21T05:30:00,300\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-m", "loadsizer.cli", "schedule", "--sizes", "0.5,0.25",
+         "--output-dir", str(tmp_path), str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 1, run.stderr
+    assert "line 3" in run.stderr
+    assert "Traceback" not in run.stderr
 
 
 def test_sensitivity_row_count(runner, small_csv, tmp_path):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from loadsizer import icls
 from loadsizer.ecls import solve_kkt
 from loadsizer.errors import DataError
 from loadsizer.icls import (
@@ -227,6 +228,62 @@ def test_warm_start_matches_cold_start_bit_for_bit(n):
         pairs += 1
         hits += warm.warm_hits
     assert 0 < hits < pairs  # both the one-solve hit and the longer paths ran
+
+
+def test_cold_start_is_the_exact_nonnegativity_point(monkeypatch):
+    # x_bar = 0 with multipliers -g solves the EQP on the nonnegativity
+    # rows exactly; a LAPACK solve of it leaves components of order -1e-15
+    starts = []
+    real = icls._active_set_qp
+
+    def spy(H, g, C, b, max_iter, x, working, mult):
+        starts.append((g, x, tuple(working), mult))
+        return real(H, g, C, b, max_iter, x, working, mult)
+
+    monkeypatch.setattr(icls, "_active_set_qp", spy)
+    rng = np.random.default_rng(90)
+    total = 150
+    for n in (2, 3, 4):
+        values = np.sort(rng.uniform(0.01, 1.0, size=total) ** 1.5)
+        context = _FitContext(values, n)
+        for _ in range(10):
+            k0, free = random_lattice_point(rng, total, n)
+            context.solve(SwitchTimes.from_free(free, total - k0, n), k0)
+    assert len(starts) == 30
+    for g, x, working, mult in starts:
+        assert working == tuple(range(g.size))
+        assert x.tobytes() == np.zeros(g.size).tobytes()
+        assert mult.tobytes() == (-g).tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_each_qp_solves_a_working_set_once_in_a_row(monkeypatch, n):
+    # a full step lands on the EQP point just solved, so its multipliers
+    # are tested without solving that working set again; the iterations
+    # a fit reports are exactly the KKT systems solved for it
+    systems = []
+
+    def recording(H, g, A, r):
+        systems.append(A.tobytes())
+        return solve_kkt(H, g, A, r)
+
+    monkeypatch.setattr(icls, "solve_kkt", recording)
+    rng = np.random.default_rng(70 + n)
+    total = 240
+    values = np.sort(rng.uniform(0.01, 1.0, size=total) ** 1.5)
+    context = _FitContext(values, n)
+    for _ in range(40):
+        k0, free = random_lattice_point(rng, total, n)
+        moved = neighbour_of(rng, k0, free, total)
+        if moved is None:
+            continue
+        m = SwitchTimes.from_free(free, total - k0, n)
+        neighbour = context.solve(SwitchTimes.from_free(moved[1], total - moved[0], n), moved[0])
+        for warm in ((), neighbour.working_set):
+            systems.clear()
+            result = context.solve(m, k0, warm)
+            assert result.iterations == len(systems)
+            assert all(a != b for a, b in zip(systems, systems[1:]))
 
 
 def qp_matrices(values, m, offset, n):
