@@ -10,7 +10,6 @@ and read the table of nonzero combinations from ``nonzero_combo_rows``.
 
 from __future__ import annotations
 
-import csv
 import functools
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .results import format_float
+from .results import format_floats, write_csv_columns
 from .timeseries import PowerSeries
 
 _MAX_LOADS = 20
@@ -164,14 +163,20 @@ def dispatch_greedy(series: PowerSeries, x) -> SwitchSchedule:
     return SwitchSchedule(u=combo_states(chosen, x.size), combo_index=chosen)
 
 
-def utilization(series: PowerSeries, schedule: SwitchSchedule, x) -> UtilizationReport:
-    """Captured over total energy plus the per-step mismatch vector."""
+def _matching_sizes(series: PowerSeries, schedule: SwitchSchedule, x) -> np.ndarray:
+    """``x`` as a flat float vector, refused unless the schedule is (x.size, len(series))."""
     x = np.asarray(x, dtype=float).ravel()
     if schedule.u.shape != (x.size, len(series)):
         raise DataError(
             f"schedule shape {schedule.u.shape} does not match "
             f"{x.size} loads x {len(series)} steps"
         )
+    return x
+
+
+def utilization(series: PowerSeries, schedule: SwitchSchedule, x) -> UtilizationReport:
+    """Captured over total energy plus the per-step mismatch vector."""
+    x = _matching_sizes(series, schedule, x)
     total = float(series.values.sum())
     if total <= 0:
         raise DataError("total energy is zero")
@@ -213,22 +218,33 @@ def combo_histogram(
 def write_schedule_csv(
     series: PowerSeries, schedule: SwitchSchedule, x, path: str | Path
 ) -> Path:
-    """Emit ``timestamp, S, u_1..u_n, captured, mismatch`` rows."""
-    x = np.asarray(x, dtype=float).ravel()
-    path = Path(path)
+    """Emit ``timestamp, S, u_1..u_n, captured, mismatch`` rows.
+
+    The file is built column by column: each float column is formatted once
+    per block of rows, and the ``u`` fields of each combination that occurs
+    are joined once and looked up per row.
+    """
+    x = _matching_sizes(series, schedule, x)
     draw = x @ schedule.u
+    mismatch = series.values - draw
     stamps = series.timestamps()
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["timestamp", "S"] + [f"u_{i + 1}" for i in range(x.size)] + ["captured", "mismatch"]
-        )
-        for k, stamp in enumerate(stamps):
-            row = [stamp.isoformat(), format_float(series.values[k])]
-            row += [str(int(schedule.u[i, k])) for i in range(x.size)]
-            row += [format_float(draw[k]), format_float(series.values[k] - draw[k])]
-            writer.writerow(row)
-    return path
+    combos, combo_of_step = np.unique(schedule.combo_index, return_inverse=True)
+    u_text = np.array(
+        [",".join(map(str, bits)) for bits in combo_states(combos, x.size).T.tolist()],
+        dtype=object,
+    )
+
+    def columns(block: slice) -> list[list[str]]:
+        return [
+            stamps[block],
+            format_floats(series.values[block]),
+            u_text[combo_of_step[block]].tolist(),
+            format_floats(draw[block]),
+            format_floats(mismatch[block]),
+        ]
+
+    header = ["timestamp", "S"] + [f"u_{i + 1}" for i in range(x.size)] + ["captured", "mismatch"]
+    return write_csv_columns(path, header, len(series), columns)
 
 
 def write_histogram_csv(hist: ComboHistogram, path: str | Path) -> Path:
@@ -237,13 +253,13 @@ def write_histogram_csv(hist: ComboHistogram, path: str | Path) -> Path:
     Every bin with daylight gets one row per combination 1..2^n - 1, zero
     counts included; all-dark bins and the all-off combination 0 get none.
     """
-    path = Path(path)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin", "combo_index", "count"])
-        for b in range(hist.bins_per_day):
-            if hist.bins[b].sum() == 0:
-                continue  # all-dark bins are excluded
-            for d in range(1, 2**hist.n):
-                writer.writerow([str(b), str(d), str(int(hist.bins[b, d]))])
-    return path
+    lit = np.flatnonzero(hist.bins.sum(axis=1))
+    combos = 2**hist.n - 1
+    bins = np.repeat(lit, combos)
+    combo = np.tile(np.arange(1, combos + 1), lit.size)
+    counts = hist.bins[lit, 1:].ravel()
+
+    def columns(block: slice) -> list[list[str]]:
+        return [list(map(str, col[block].tolist())) for col in (bins, combo, counts)]
+
+    return write_csv_columns(path, ["bin", "combo_index", "count"], len(bins), columns)

@@ -1,9 +1,10 @@
-"""Shared result containers and JSON helpers for the sizing methods."""
+"""Shared result containers, JSON helpers and CSV column writers."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any
 
 import numpy as np
@@ -60,6 +61,36 @@ def _jsonable(obj):
     return obj
 
 
+_FLOAT_FORMAT = ".12g"
+
+
 def format_float(v: float) -> str:
     """Deterministic float formatting used by all CSV emitters."""
-    return format(float(v), ".12g")
+    return format(float(v), _FLOAT_FORMAT)
+
+
+def format_floats(values) -> list[str]:
+    """:func:`format_float` of every element of ``values``, as one column."""
+    return [format(v, _FLOAT_FORMAT) for v in np.asarray(values, dtype=float).tolist()]
+
+
+# Rows parsed, formatted or written at a time by the CSV readers and
+# writers: the intermediates of one block are held in memory, never those
+# of the whole file.
+CSV_BLOCK_ROWS = 4096
+
+
+def write_csv_columns(path, header: list[str], size: int, columns) -> Path:
+    """Write ``header`` and ``size`` rows, one block of rows at a time.
+
+    ``columns(block)`` returns the text of every column over the rows in the
+    slice ``block``. Rows end in ``\\r\\n`` as the ``csv`` module writes them;
+    fields are not quoted, so none may hold a comma, quote or line break.
+    """
+    path = Path(path)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, size, CSV_BLOCK_ROWS):
+            rows = zip(*columns(slice(lo, lo + CSV_BLOCK_ROWS)))
+            fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
+    return path

@@ -6,12 +6,12 @@ so the normal ingestion path (load -> normalize -> sort) applies unchanged.
 
 from __future__ import annotations
 
-import csv
-from datetime import datetime, timedelta
+from datetime import datetime
 from pathlib import Path
 
 import numpy as np
 
+from .results import write_csv_columns
 from .timeseries import ClearSkyModel, PowerSeries
 
 # Trig parameters of a fitted San Diego clear day, used as the reference
@@ -146,12 +146,9 @@ def synth_year_series(seed: int = 42, s_max_watts: float = 100_000.0) -> PowerSe
 
 def write_series_csv(series: PowerSeries, path: str | Path) -> Path:
     """Write a series in the ``timestamp,power_w`` ingestion format."""
-    path = Path(path)
-    t0 = series.start
-    step = timedelta(seconds=series.interval_seconds)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", "power_w"])
-        for k, v in enumerate(series.values):
-            writer.writerow([(t0 + k * step).isoformat(), format(float(v), ".6f")])
-    return path
+    stamps = series.timestamps()
+
+    def columns(block: slice) -> list[list[str]]:
+        return [stamps[block], [format(v, ".6f") for v in series.values[block].tolist()]]
+
+    return write_csv_columns(path, ["timestamp", "power_w"], len(series), columns)

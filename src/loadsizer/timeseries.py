@@ -8,6 +8,7 @@ one header row, UTF-8). All downstream solvers work on normalized values in
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import logging
 import math
@@ -18,10 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, FitError, ParseError
+from .results import CSV_BLOCK_ROWS
 
 logger = logging.getLogger(__name__)
 
 _EPS_NORM = 1e-12
+
+_MICROSECOND = timedelta(microseconds=1)
 
 
 @dataclass(frozen=True)
@@ -58,10 +62,22 @@ class PowerSeries:
     def __len__(self) -> int:
         return self.values.size
 
-    def timestamps(self) -> list[datetime]:
-        """Each sample's time; an offset-aware ``start`` keeps its offset."""
-        step = timedelta(seconds=self.interval_seconds)
-        return [self.start + k * step for k in range(len(self))]
+    def timestamps(self) -> list[str]:
+        """Each sample's time as ``datetime.isoformat`` writes it.
+
+        An offset-aware ``start`` lends its UTC offset to every stamp.
+        """
+        naive = self.start.replace(tzinfo=None)
+        unit = "us" if naive.microsecond else "s"
+        offset = self.start.isoformat()[len(naive.isoformat()) :]
+        first = np.datetime64(naive, unit)
+        step = np.timedelta64(self.interval_seconds, "s")
+        stamps: list[str] = []
+        for lo in range(0, len(self), CSV_BLOCK_ROWS):
+            k = np.arange(lo, min(lo + CSV_BLOCK_ROWS, len(self)))
+            block = np.datetime_as_string(first + k * step, unit=unit).tolist()
+            stamps += [stamp + offset for stamp in block] if offset else block
+        return stamps
 
 
 @dataclass(frozen=True)
@@ -93,6 +109,65 @@ def _parse_timestamp(text: str, lineno: int) -> datetime:
         raise ParseError(f"line {lineno}: bad timestamp {text!r}: {exc}") from exc
 
 
+def _is_blank(row: list[str]) -> bool:
+    return not row or (len(row) == 1 and not row[0].strip())
+
+
+def _scan_rows(rows, lineno: int, times: list[datetime], powers: list[float]) -> None:
+    """Append the data rows one at a time, raising at the first bad one.
+
+    ``rows`` start at line ``lineno``; ``times`` and ``powers`` hold the
+    rows before them.
+    """
+    for lineno, row in enumerate(rows, start=lineno):
+        if _is_blank(row):
+            continue
+        if len(row) < 2:
+            raise ParseError(f"line {lineno}: expected two columns, got {row}")
+        ts = _parse_timestamp(row[0], lineno)
+        if times and (ts.tzinfo is None) != (times[0].tzinfo is None):
+            raise ParseError(
+                f"line {lineno}: timestamp {row[0]!r} mixes offset-aware and naive rows"
+            )
+        try:
+            p = float(row[1])
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: bad power value {row[1]!r}") from exc
+        if not math.isfinite(p) or p < 0:
+            raise ParseError(f"line {lineno}: power must be finite and >= 0, got {p}")
+        times.append(ts)
+        powers.append(p)
+
+
+def _parse_rows(reader) -> tuple[list[datetime], list[float]]:
+    """Timestamps and powers of the data rows, parsed a block of rows at a time.
+
+    Each block is parsed column by column; a block with a bad row goes to
+    ``_scan_rows``, which reports the first bad row by its line number.
+    """
+    times: list[datetime] = []
+    powers: list[float] = []
+    lineno = 2
+    while rows := list(itertools.islice(reader, CSV_BLOCK_ROWS)):
+        data = [row for row in rows if len(row) > 1 or not _is_blank(row)]
+        try:
+            stamps = list(map(datetime.fromisoformat, [row[0].strip() for row in data]))
+            values = np.array(list(map(float, [row[1] for row in data])))
+        except (IndexError, ValueError):
+            stamps = None
+        if (
+            stamps is None
+            or len({t.tzinfo is None for t in times[:1] + stamps}) > 1
+            or not ((values >= 0) & (values < math.inf)).all()
+        ):
+            _scan_rows(rows, lineno, times, powers)
+        else:
+            times += stamps
+            powers += values.tolist()
+        lineno += len(rows)
+    return times, powers
+
+
 def load_series(path: str | Path, resample_seconds: int) -> PowerSeries:
     """Read a ``timestamp,power_w`` CSV and return a gap-free equispaced series.
 
@@ -104,8 +179,6 @@ def load_series(path: str | Path, resample_seconds: int) -> PowerSeries:
     path = Path(path)
     if resample_seconds <= 0:
         raise DataError("resample_seconds must be positive")
-    times: list[datetime] = []
-    powers: list[float] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -114,37 +187,23 @@ def load_series(path: str | Path, resample_seconds: int) -> PowerSeries:
             raise ParseError(f"{path}: empty file") from None
         if len(header) < 2:
             raise ParseError(f"{path}: header must have two columns, got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < 2:
-                raise ParseError(f"line {lineno}: expected two columns, got {row}")
-            ts = _parse_timestamp(row[0], lineno)
-            if times and (ts.tzinfo is None) != (times[0].tzinfo is None):
-                raise ParseError(
-                    f"line {lineno}: timestamp {row[0]!r} mixes offset-aware and naive rows"
-                )
-            try:
-                p = float(row[1])
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: bad power value {row[1]!r}") from exc
-            if not math.isfinite(p) or p < 0:
-                raise ParseError(f"line {lineno}: power must be finite and >= 0, got {p}")
-            times.append(ts)
-            powers.append(p)
+        times, powers = _parse_rows(reader)
     if not times:
         raise ParseError(f"{path}: no data rows")
 
-    for i in range(1, len(times)):
-        if times[i] <= times[i - 1]:
-            raise DataError(
-                f"timestamps not strictly increasing at row {i + 2} ({times[i].isoformat()})"
-            )
-
-    if len(times) > 1:
-        source_interval = min(
-            int((times[i] - times[i - 1]).total_seconds()) for i in range(1, len(times))
+    # exact microseconds from the first stamp; naive or offset-aware alike
+    t0 = times[0]
+    micros = np.array([(t - t0) // _MICROSECOND for t in times], dtype=np.int64)
+    steps = np.diff(micros)
+    backwards = np.flatnonzero(steps <= 0)
+    if backwards.size:
+        i = int(backwards[0]) + 1
+        raise DataError(
+            f"timestamps not strictly increasing at row {i + 2} ({times[i].isoformat()})"
         )
+
+    if steps.size:
+        source_interval = int((steps / 1e6).astype(np.int64).min())
     else:
         source_interval = resample_seconds
     if source_interval <= 0:
@@ -155,17 +214,13 @@ def load_series(path: str | Path, resample_seconds: int) -> PowerSeries:
             f"source interval {source_interval}s"
         )
 
-    t0 = times[0]
-    offsets = np.array([(t - t0).total_seconds() for t in times])
+    offsets = micros / 1e6
     if (np.mod(offsets, source_interval) != 0).any():
         raise DataError("timestamps are not aligned to the source interval")
 
     windows = (offsets // resample_seconds).astype(int)
-    n_windows = int(windows[-1]) + 1
-    sums = np.zeros(n_windows)
-    counts = np.zeros(n_windows, dtype=int)
-    np.add.at(sums, windows, np.asarray(powers))
-    np.add.at(counts, windows, 1)
+    sums = np.bincount(windows, weights=np.asarray(powers, dtype=float))
+    counts = np.bincount(windows)
     filled = counts == 0
     values = np.where(filled, 0.0, sums / np.maximum(counts, 1))
     n_filled = int(filled.sum())

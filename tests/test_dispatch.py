@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from datetime import datetime
+import csv
+from datetime import datetime, timedelta, timezone
 from itertools import product
 
 import numpy as np
@@ -23,6 +24,8 @@ from loadsizer.dispatch import (
 )
 from loadsizer.ecls import binary_order, build_switch_matrix
 from loadsizer.errors import DataError
+from loadsizer.results import CSV_BLOCK_ROWS, format_float
+from loadsizer.synth import clear_day_series, synth_year_series
 
 
 def make_series(values, interval=900, start=None):
@@ -306,6 +309,131 @@ def test_histogram_csv_has_nonzero_combos_only(tmp_path):
     rows = path.read_text().strip().splitlines()[1:]
     combos = {int(r.split(",")[1]) for r in rows}
     assert combos == {1, 2, 3}
+
+
+def test_schedule_csv_refuses_a_schedule_longer_than_the_series(tmp_path):
+    x = np.array([0.6, 0.3])
+    sched = dispatch_greedy(make_series([0.3, 0.6, 0.9, 0.2, 0.5, 0.7]), x)
+    message = r"schedule shape \(2, 6\) does not match 2 loads x 4 steps"
+    with pytest.raises(DataError, match=message):
+        write_schedule_csv(make_series([0.3, 0.6, 0.9, 0.2]), sched, x, tmp_path / "s.csv")
+
+
+def test_schedule_csv_refuses_more_sizes_than_loads(tmp_path):
+    series = make_series([0.3, 0.6, 0.9])
+    sched = dispatch_greedy(series, [0.6, 0.3])
+    message = r"schedule shape \(2, 3\) does not match 3 loads x 3 steps"
+    with pytest.raises(DataError, match=message):
+        write_schedule_csv(series, sched, [0.6, 0.3, 0.1], tmp_path / "s.csv")
+
+
+# Oracles: the row-by-row writers the column writers replaced, kept to
+# compare bytes with.
+
+
+def row_schedule_csv(series, schedule, x, path):
+    x = np.asarray(x, dtype=float).ravel()
+    draw = x @ schedule.u
+    step = timedelta(seconds=series.interval_seconds)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["timestamp", "S"] + [f"u_{i + 1}" for i in range(x.size)] + ["captured", "mismatch"]
+        )
+        for k in range(len(series)):
+            row = [(series.start + k * step).isoformat(), format_float(series.values[k])]
+            row += [str(int(schedule.u[i, k])) for i in range(x.size)]
+            row += [format_float(draw[k]), format_float(series.values[k] - draw[k])]
+            writer.writerow(row)
+    return path
+
+
+def row_histogram_csv(hist, path):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["bin", "combo_index", "count"])
+        for b in range(hist.bins_per_day):
+            if hist.bins[b].sum() == 0:
+                continue
+            for d in range(1, 2**hist.n):
+                writer.writerow([str(b), str(d), str(int(hist.bins[b, d]))])
+    return path
+
+
+def row_series_csv(series, path):
+    step = timedelta(seconds=series.interval_seconds)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["timestamp", "power_w"])
+        for k, v in enumerate(series.values):
+            writer.writerow([(series.start + k * step).isoformat(), format(float(v), ".6f")])
+    return path
+
+
+WRITER_SIZINGS = {
+    "n1": (0.37,),
+    "n2": (0.482499, 0.222565),
+    "tied": (0.5, 0.25, 0.25),
+    "n12": tuple(round(0.31 * 0.71**k, 6) for k in range(12)),
+    "n13": tuple(round(0.29 * 0.73**k, 6) for k in range(13)),
+}
+WRITER_STARTS = {
+    "naive": datetime(2024, 2, 28, 22, 0),
+    "plus_0200": datetime(2021, 3, 28, 0, 0, tzinfo=timezone(timedelta(hours=2))),
+    "minus_0530": datetime(2021, 6, 1, 5, 15, tzinfo=timezone(-timedelta(hours=5, minutes=30))),
+    "seconds_and_micros": datetime(2021, 12, 31, 23, 59, 58, 250000),
+}
+
+
+def random_power(size, seed=0):
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(0.0, 1.0, size)
+    values[rng.random(size) < 0.3] = 0.0
+    return values / values.max()
+
+
+def assert_same_schedule_bytes(tmp_path, series, x):
+    sched = dispatch_greedy(series, x)
+    mine = write_schedule_csv(series, sched, x, tmp_path / "columns.csv")
+    oracle = row_schedule_csv(series, sched, x, tmp_path / "rows.csv")
+    assert mine.read_bytes() == oracle.read_bytes()
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1], ids=["block-1", "block", "block+1"])
+@pytest.mark.parametrize("x", WRITER_SIZINGS.values(), ids=WRITER_SIZINGS.keys())
+def test_schedule_csv_bytes_match_row_writer(tmp_path, x, extra):
+    series = make_series(random_power(CSV_BLOCK_ROWS + extra), start=datetime(2021, 6, 1))
+    assert_same_schedule_bytes(tmp_path, series, x)
+
+
+@pytest.mark.parametrize("interval", [1, 60, 900, 3600])
+@pytest.mark.parametrize("start", WRITER_STARTS.values(), ids=WRITER_STARTS.keys())
+def test_schedule_csv_bytes_match_row_writer_over_starts(tmp_path, start, interval):
+    series = make_series(random_power(CSV_BLOCK_ROWS + 1, seed=interval), interval, start)
+    assert_same_schedule_bytes(tmp_path, series, WRITER_SIZINGS["tied"])
+
+
+@pytest.mark.parametrize("bins", [1, 24, 96])
+@pytest.mark.parametrize("n", range(1, 13))
+def test_histogram_csv_bytes_match_row_writer(tmp_path, n, bins):
+    rng = np.random.default_rng(n)
+    arch = np.clip(np.sin(np.linspace(-0.6, np.pi + 0.6, 96)), 0.0, None)
+    values = np.tile(arch, 3) * rng.uniform(0.2, 1.0, 3 * 96)
+    series = make_series(values / values.max(), 900, datetime(2021, 6, 1, 0, 0))
+    x = np.sort(rng.uniform(0.02, 0.6, n))[::-1]
+    hist = combo_histogram(series, dispatch_greedy(series, x), bins_per_day=bins)
+    mine = write_histogram_csv(hist, tmp_path / "columns.csv")
+    oracle = row_histogram_csv(hist, tmp_path / "rows.csv")
+    assert mine.read_bytes() == oracle.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "fixture, series",
+    [("year_csv", lambda: synth_year_series(seed=42)), ("clear_day_csv", clear_day_series)],
+)
+def test_series_csv_bytes_match_row_writer(request, tmp_path, fixture, series):
+    oracle = row_series_csv(series(), tmp_path / "rows.csv")
+    assert request.getfixturevalue(fixture).read_bytes() == oracle.read_bytes()
 
 
 @pytest.mark.parametrize("n", range(1, 13))

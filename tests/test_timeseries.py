@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -35,6 +35,25 @@ def make_series(values, interval=900, normalized=False):
         s_max=float(values.max()) if not normalized else 1.0,
         normalized=normalized,
     )
+
+
+@pytest.mark.parametrize("interval", [1, 60, 900, 3600])
+@pytest.mark.parametrize(
+    "start",
+    [
+        datetime(2024, 2, 28, 22, 0),
+        datetime(2021, 3, 28, 0, 0, tzinfo=timezone(timedelta(hours=2))),
+        datetime(2021, 6, 1, 5, 15, tzinfo=timezone(-timedelta(hours=5, minutes=30))),
+        datetime(2021, 12, 31, 23, 59, 58, 250000),
+    ],
+    ids=["naive", "plus_0200", "minus_0530", "seconds_and_micros"],
+)
+def test_timestamps_match_isoformat(start, interval):
+    series = PowerSeries(
+        start=start, values=np.ones(200), interval_seconds=interval, s_max=1.0, normalized=True
+    )
+    step = timedelta(seconds=interval)
+    assert series.timestamps() == [(start + k * step).isoformat() for k in range(200)]
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +113,18 @@ def test_load_series_fills_gaps_with_zero(tmp_path, caplog):
     assert "filled with 0" in caplog.text
 
 
+def test_load_series_measures_time_across_utc_offsets(tmp_path):
+    rows = [
+        "2021-03-28T01:30:00+01:00,2",
+        "2021-03-28T01:45:00+01:00,4",
+        "2021-03-28T03:00:00+02:00,6",
+        "2021-03-28T03:15:00+02:00,8",
+    ]
+    series = load_series(write_csv(tmp_path / "dst.csv", rows), resample_seconds=1800)
+    assert series.values.tolist() == [3.0, 7.0]
+    assert series.start.isoformat() == "2021-03-28T01:30:00+01:00"
+
+
 def test_load_series_year_fixture_length(year_csv):
     series = load_series(year_csv, resample_seconds=900)
     assert len(series) == 35040
@@ -104,6 +135,148 @@ def test_load_series_rejects_misaligned_resample(tmp_path):
     path = write_csv(tmp_path / "mis.csv", rows)
     with pytest.raises(DataError):
         load_series(path, resample_seconds=90)
+
+
+# (id, file text, resample seconds, error class, message; {path} is the file)
+LOAD_ERRORS = [
+    ("empty_file", "", 60, ParseError, "{path}: empty file"),
+    (
+        "one_column_header",
+        "timestamp\n2021-01-01T00:00:00\n",
+        60,
+        ParseError,
+        "{path}: header must have two columns, got ['timestamp']",
+    ),
+    ("no_data_rows", "timestamp,power_w\n\n \n", 60, ParseError, "{path}: no data rows"),
+    (
+        "bad_timestamp",
+        "timestamp,power_w\n2021-01-01T00:00:00,5\n\nnot-a-date,3\n",
+        60,
+        ParseError,
+        "line 4: bad timestamp 'not-a-date': Invalid isoformat string: 'not-a-date'",
+    ),
+    (
+        "one_column_row",
+        "timestamp,power_w\n2021-01-01T00:00:00,5\n2021-01-01T00:01:00\n",
+        60,
+        ParseError,
+        "line 3: expected two columns, got ['2021-01-01T00:01:00']",
+    ),
+    (
+        "naive_then_offset",
+        "timestamp,power_w\n2021-01-01T00:00:00,5\n2021-01-01T00:01:00+00:00,3\n",
+        60,
+        ParseError,
+        "line 3: timestamp '2021-01-01T00:01:00+00:00' mixes offset-aware and naive rows",
+    ),
+    (
+        "offset_then_naive",
+        "timestamp,power_w\n2021-01-01T00:00:00+02:00,5\n\n2021-01-01T00:01:00,3\n",
+        60,
+        ParseError,
+        "line 4: timestamp '2021-01-01T00:01:00' mixes offset-aware and naive rows",
+    ),
+    (
+        "bad_power",
+        "timestamp,power_w\n2021-01-01T00:00:00,5\n2021-01-01T00:01:00,abc\n",
+        60,
+        ParseError,
+        "line 3: bad power value 'abc'",
+    ),
+    (
+        "negative_power",
+        "timestamp,power_w\n2021-01-01T00:00:00,5\n2021-01-01T00:01:00,-1\n",
+        60,
+        ParseError,
+        "line 3: power must be finite and >= 0, got -1.0",
+    ),
+    (
+        "inf_power",
+        "timestamp,power_w\n2021-01-01T00:00:00,inf\n",
+        60,
+        ParseError,
+        "line 2: power must be finite and >= 0, got inf",
+    ),
+    (
+        "nan_power",
+        "timestamp,power_w\n2021-01-01T00:00:00,5\n2021-01-01T00:01:00,nan\n",
+        60,
+        ParseError,
+        "line 3: power must be finite and >= 0, got nan",
+    ),
+    (
+        "first_bad_row_wins",
+        "timestamp,power_w\n2021-01-01T00:00:00,5\n2021-01-01T00:01:00\nbad,-1\n",
+        60,
+        ParseError,
+        "line 3: expected two columns, got ['2021-01-01T00:01:00']",
+    ),
+    (
+        "not_increasing",
+        "timestamp,power_w\n2021-01-01T00:01:00,5\n\n2021-01-01T00:02:00,4\n"
+        "2021-01-01T00:02:00,3\n",
+        60,
+        DataError,
+        "timestamps not strictly increasing at row 4 (2021-01-01T00:02:00)",
+    ),
+    (
+        "not_increasing_across_offsets",
+        "timestamp,power_w\n2021-01-01T01:00:00+01:00,5\n2021-01-01T00:00:00+00:00,3\n",
+        60,
+        DataError,
+        "timestamps not strictly increasing at row 3 (2021-01-01T00:00:00+00:00)",
+    ),
+    (
+        "sub_second_interval",
+        "timestamp,power_w\n2021-01-01T00:00:00,5\n2021-01-01T00:00:00.500000,3\n",
+        60,
+        DataError,
+        "source interval must be positive",
+    ),
+    (
+        "misaligned",
+        "timestamp,power_w\n2021-01-01T00:00:00,5\n2021-01-01T00:01:00,4\n"
+        "2021-01-01T00:02:30,3\n",
+        60,
+        DataError,
+        "timestamps are not aligned to the source interval",
+    ),
+    (
+        "resample_not_a_multiple",
+        "timestamp,power_w\n2021-01-01T00:00:00,4\n2021-01-01T00:01:00,8\n",
+        90,
+        DataError,
+        "resample_seconds=90 is not a multiple of the source interval 60s",
+    ),
+    (
+        "all_zero",
+        "timestamp,power_w\n2021-01-01T00:00:00,0\n2021-01-01T00:01:00,0.0\n",
+        60,
+        DataError,
+        "{path}: series has no positive power samples",
+    ),
+    (
+        "resample_not_positive",
+        "timestamp,power_w\n",
+        0,
+        DataError,
+        "resample_seconds must be positive",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "text, resample, error, message",
+    [case[1:] for case in LOAD_ERRORS],
+    ids=[case[0] for case in LOAD_ERRORS],
+)
+def test_load_series_error_messages(tmp_path, text, resample, error, message):
+    path = tmp_path / "input.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(error) as info:
+        load_series(path, resample_seconds=resample)
+    assert type(info.value) is error
+    assert str(info.value) == message.format(path=path)
 
 
 # ---------------------------------------------------------------------------
