@@ -8,7 +8,6 @@ with the same seed and inputs reproduces them byte for byte). Exit codes:
 
 from __future__ import annotations
 
-import csv
 import math
 import sys
 import time
@@ -31,7 +30,7 @@ from .ecls import line_search_C, sensitivity_table, write_sensitivity_csv
 from .errors import LoadSizerError, UsageError
 from .icls import optimize_m
 from .milp import branch_and_bound, build_instance
-from .results import SizingResult, as_load_sizing, format_float
+from .results import SizingResult, as_load_sizing, format_float, write_csv_columns
 from .timeseries import (
     PowerSeries,
     downsample_uniform,
@@ -367,33 +366,27 @@ def _parse_range(text: str) -> list[int]:
 
 
 def _write_comparison(rows: list[SizingResult], n_max: int, path: Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["n", "method"] + [f"x{i + 1}" for i in range(n_max)] + ["sum_x", "SU"]
+    table = []
+    for r in sorted(rows, key=lambda r: (r.n, r.method)):
+        # sizes round-trip exactly: the optima sit where a subset draw
+        # equals a sample, so a rounded size can re-dispatch to another SU
+        xs = [repr(float(v)) for v in r.x] + [""] * (n_max - len(r.x))
+        table.append(
+            [str(r.n), r.method] + xs + [format_float(sum(r.x)), format_float(r.solar_utilization)]
         )
-        for r in sorted(rows, key=lambda r: (r.n, r.method)):
-            # sizes round-trip exactly: the optima sit where a subset draw
-            # equals a sample, so a rounded size can re-dispatch to another SU
-            xs = [repr(float(v)) for v in r.x] + [""] * (n_max - len(r.x))
-            writer.writerow(
-                [str(r.n), r.method]
-                + xs
-                + [format_float(sum(r.x)), format_float(r.solar_utilization)]
-            )
+    header = ["n", "method"] + [f"x{i + 1}" for i in range(n_max)] + ["sum_x", "SU"]
+    write_csv_columns(path, header, len(table), lambda block: zip(*table[block]))
 
 
 def _write_normalized(rows: list[SizingResult], path: Path) -> None:
     baseline = {r.n: r.solar_utilization for r in rows if r.method == "ecls"}
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "method", "SU", "normalized_SU"])
-        for r in sorted(rows, key=lambda r: (r.n, r.method)):
-            base = baseline.get(r.n)
-            norm = r.solar_utilization / base if base else math.nan
-            writer.writerow(
-                [str(r.n), r.method, format_float(r.solar_utilization), format_float(norm)]
-            )
+    table = []
+    for r in sorted(rows, key=lambda r: (r.n, r.method)):
+        base = baseline.get(r.n)
+        norm = r.solar_utilization / base if base else math.nan
+        table.append([str(r.n), r.method, format_float(r.solar_utilization), format_float(norm)])
+    header = ["n", "method", "SU", "normalized_SU"]
+    write_csv_columns(path, header, len(table), lambda block: zip(*table[block]))
 
 
 @main.command()

@@ -27,24 +27,32 @@ _FEAS_TOL = 1e-12
 
 @dataclass(frozen=True)
 class SwitchSchedule:
-    """Per-timestep on/off matrix aligned to a series."""
+    """Per-timestep combination of ``n`` loads, aligned to a series.
 
-    u: np.ndarray = field(repr=False)  # (n, T) of {0, 1}
+    The schedule is stored as its combo-index vector; the (n, T) on/off
+    matrix ``u`` is derived from it on read.
+    """
+
     combo_index: np.ndarray = field(repr=False)  # (T,)
+    n: int
 
     def __post_init__(self) -> None:
-        u = np.asarray(self.u)
-        if u.ndim != 2:
-            raise DataError("u must be an (n, T) matrix")
-        object.__setattr__(self, "u", u.astype(np.uint8))
-        object.__setattr__(self, "combo_index", np.asarray(self.combo_index, dtype=np.int64))
+        if not 1 <= self.n <= _MAX_LOADS:
+            raise DataError(f"need 1..{_MAX_LOADS} loads, got {self.n}")
+        combo = np.asarray(self.combo_index, dtype=np.int64)
+        if combo.ndim != 1:
+            raise DataError("combo_index must be a 1-D vector")
+        if combo.size and (combo.min() < 0 or combo.max() >= 2**self.n):
+            raise DataError(f"combo_index values must lie in 0..{2**self.n - 1}")
+        object.__setattr__(self, "combo_index", combo)
 
     @property
-    def n(self) -> int:
-        return self.u.shape[0]
+    def u(self) -> np.ndarray:
+        """(n, T) uint8 on/off matrix; row i is load i + 1."""
+        return combo_states(self.combo_index, self.n)
 
     def __len__(self) -> int:
-        return self.u.shape[1]
+        return self.combo_index.size
 
 
 @dataclass(frozen=True)
@@ -160,16 +168,19 @@ def dispatch_greedy(series: PowerSeries, x) -> SwitchSchedule:
     if not (np.isfinite(x) & (x > 0)).all():
         raise DataError(f"load sizes must be positive and finite, got {x.tolist()}")
     _, chosen = capture_best(series.values, x)
-    return SwitchSchedule(u=combo_states(chosen, x.size), combo_index=chosen)
+    return SwitchSchedule(chosen, x.size)
 
 
-def _matching_sizes(series: PowerSeries, schedule: SwitchSchedule, x) -> np.ndarray:
-    """``x`` as a flat float vector, refused unless the schedule is (x.size, len(series))."""
-    x = np.asarray(x, dtype=float).ravel()
-    if schedule.u.shape != (x.size, len(series)):
+def _matching_sizes(series: PowerSeries, schedule: SwitchSchedule, x=None) -> np.ndarray | None:
+    """``x`` as a flat float vector, refused unless the schedule is
+    (x.size, len(series)); with no ``x`` only the steps are checked."""
+    if x is not None:
+        x = np.asarray(x, dtype=float).ravel()
+    shape = (schedule.n, len(schedule))
+    want = (shape[0] if x is None else x.size, len(series))
+    if shape != want:
         raise DataError(
-            f"schedule shape {schedule.u.shape} does not match "
-            f"{x.size} loads x {len(series)} steps"
+            f"schedule shape {shape} does not match {want[0]} loads x {want[1]} steps"
         )
     return x
 
@@ -201,6 +212,7 @@ def combo_histogram(
         raise DataError("bins_per_day must be >= 1")
     if len(series) * series.interval_seconds < 86400:
         raise DataError("series must span at least one day")
+    _matching_sizes(series, schedule)
     n = schedule.n
     seconds_of_day = (
         np.arange(len(series), dtype=np.int64) * series.interval_seconds

@@ -10,7 +10,6 @@ search ranked on full-series dispatch utilization.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import functools
 import logging
@@ -22,7 +21,7 @@ import numpy as np
 
 from .dispatch import capture_best, combo_index, nonzero_combo_rows
 from .errors import DataError, NumericError
-from .results import format_float
+from .results import format_floats, write_csv_columns
 from .timeseries import SortedSeries
 
 logger = logging.getLogger(__name__)
@@ -225,14 +224,6 @@ def line_search_C(
 
 
 def write_sensitivity_csv(table: list[EclsResult], path: str | Path) -> Path:
-    path = Path(path)
-    n = table[0].n
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["C"] + [f"x{i + 1}" for i in range(n)] + ["SU"])
-        for row in table:
-            su = "nan" if math.isnan(row.solar_utilization) else format_float(row.solar_utilization)
-            writer.writerow(
-                [format_float(row.C)] + [format_float(v) for v in row.x] + [su]
-            )
-    return path
+    header = ["C"] + [f"x{i + 1}" for i in range(table[0].n)] + ["SU"]
+    rows = [format_floats([row.C, *row.x, row.solar_utilization]) for row in table]
+    return write_csv_columns(path, header, len(rows), lambda block: zip(*rows[block]))

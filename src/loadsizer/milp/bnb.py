@@ -30,11 +30,16 @@ _EQ_TOL = 1e-12
 @dataclass
 class MilpSolution:
     x: np.ndarray = field(repr=False)
-    u: np.ndarray = field(repr=False)  # (n, T) binary
+    combo_index: np.ndarray = field(repr=False)  # (T,) schedule, encoded as in ``dispatch``
     objective: float = np.nan  # total mismatch sum(s) - sum(y)
     gap: float = np.nan
     nodes_explored: int = 0
     status: str = "optimal"  # optimal | gap_limit | node_limit
+
+    @property
+    def u(self) -> np.ndarray:
+        """(n, T) binary schedule, decoded from ``combo_index``."""
+        return combo_states(self.combo_index, self.x.size)
 
     @property
     def y(self) -> np.ndarray:
@@ -42,17 +47,18 @@ class MilpSolution:
         return self.u * self.x[:, None]
 
 
-def best_sizes_for_schedule(instance: MilpInstance, u: np.ndarray) -> tuple[np.ndarray, float]:
-    """LP over sizes only: maximize capture for a fixed binary schedule.
+def best_sizes_for_schedule(instance: MilpInstance, combo: np.ndarray) -> tuple[np.ndarray, float]:
+    """LP over sizes only: maximize capture for a fixed schedule, given as
+    its combo index per step.
 
     Among capture-optimal size vectors the one with the smallest total is
     returned (lexicographic second solve), which keeps never-used loads at
     zero size.
     """
     n = instance.n
-    counts = u.sum(axis=1).astype(float)
     # one row per pattern in order of first use, capped by its lowest sample
-    patterns, first_use, which = np.unique(combo_index(u), return_index=True, return_inverse=True)
+    patterns, first_use, which = np.unique(combo, return_index=True, return_inverse=True)
+    counts = (combo_states(patterns, n) @ np.bincount(which)).astype(float)  # steps on, per load
     rhs = np.full(patterns.size, np.inf)
     np.minimum.at(rhs, which, instance.s)
     order = np.argsort(first_use)
@@ -78,10 +84,11 @@ def best_sizes_for_schedule(instance: MilpInstance, u: np.ndarray) -> tuple[np.n
 
 
 def _dispatch(instance: MilpInstance, x: np.ndarray) -> tuple[np.ndarray, float]:
-    """Best schedule for sizes ``x`` and its capture. Sizes ``<= 1e-12``
-    count as zero, and the tie rule (fewest loads on) keeps such loads off."""
+    """Best schedule for sizes ``x``, as combo indices, and its capture. Sizes
+    ``<= 1e-12`` count as zero, and the tie rule (fewest loads on) keeps
+    such loads off."""
     draws, masks = capture_best(instance.s, np.where(x > 1e-12, x, 0.0))
-    return combo_states(masks, instance.n), float(draws.sum())
+    return masks, float(draws.sum())
 
 
 def _repair(instance: MilpInstance, x_start: np.ndarray, rounds: int = 4):
@@ -91,8 +98,8 @@ def _repair(instance: MilpInstance, x_start: np.ndarray, rounds: int = 4):
     for _ in range(rounds):
         if not (x > 1e-12).any():
             break
-        u, _ = _dispatch(instance, x)
-        x_new, capture = best_sizes_for_schedule(instance, u)
+        combo, _ = _dispatch(instance, x)
+        x_new, capture = best_sizes_for_schedule(instance, combo)
         if best is None or capture > best[1] + _EQ_TOL:
             best = (x_new, capture)
         if np.abs(x_new - x).max() < 1e-12:
@@ -100,10 +107,10 @@ def _repair(instance: MilpInstance, x_start: np.ndarray, rounds: int = 4):
         x = x_new
     if best is None:
         return None
-    # re-dispatch the polished sizes so u is the best schedule for them
+    # re-dispatch the polished sizes so the schedule is the best one for them
     x = best[0]
-    u, capture = _dispatch(instance, x)
-    return x, u, instance.total_power - capture
+    combo, capture = _dispatch(instance, x)
+    return x, combo, instance.total_power - capture
 
 
 def _coordinate_polish(instance: MilpInstance, x_start: np.ndarray) -> np.ndarray:
@@ -146,9 +153,9 @@ class _Incumbent:
         self.objective = np.inf
         self.sum_x = np.inf
         self.x: np.ndarray | None = None
-        self.u: np.ndarray | None = None
+        self.combo: np.ndarray | None = None
 
-    def offer(self, x, u, objective) -> bool:
+    def offer(self, x, combo, objective) -> bool:
         better = objective < self.objective - _EQ_TOL
         tie_smaller = (
             abs(objective - self.objective) <= _EQ_TOL and x.sum() < self.sum_x - _EQ_TOL
@@ -157,7 +164,7 @@ class _Incumbent:
             self.objective = float(objective)
             self.sum_x = float(x.sum())
             self.x = np.asarray(x, dtype=float).copy()
-            self.u = np.asarray(u, dtype=np.uint8).copy()
+            self.combo = combo
             return True
         return False
 
@@ -195,9 +202,9 @@ def _branch_or_offer(
     t_pick, i_pick = divmod(int(np.argmax(frac.T)), instance.n)
     if frac[i_pick, t_pick] > 1e-9:
         return i_pick, t_pick
-    u = np.rint(u).astype(np.uint8)
-    x, capture = best_sizes_for_schedule(instance, u)
-    incumbent.offer(x, u, instance.total_power - capture)
+    combo = combo_index(np.rint(u))
+    x, capture = best_sizes_for_schedule(instance, combo)
+    incumbent.offer(x, combo, instance.total_power - capture)
     return None
 
 
@@ -274,7 +281,7 @@ def branch_and_bound(
 
     if incumbent.x is None:
         # no feasible incumbent ever produced: fall back to everything off
-        incumbent.offer(np.zeros(n), np.zeros((n, T), dtype=np.uint8), instance.total_power)
+        incumbent.offer(np.zeros(n), np.zeros(T, dtype=np.int64), instance.total_power)
     # a mismatch is never negative, so a rounded-below-zero bound counts as 0
     lower = max(best_bound, 0.0)
     gap = max(0.0, (incumbent.objective - lower) / max(1e-9, incumbent.objective))
@@ -282,7 +289,7 @@ def branch_and_bound(
         gap = 0.0
     return MilpSolution(
         x=incumbent.x,
-        u=incumbent.u,
+        combo_index=incumbent.combo,
         objective=incumbent.objective,
         gap=gap,
         nodes_explored=nodes_explored,

@@ -22,6 +22,12 @@ REFERENCE_C = 1.572
 
 SAMPLES_PER_DAY = 96  # 15-minute sampling
 DAYS_PER_YEAR = 365
+INTERVAL_SECONDS = 900
+S_MAX_WATTS = 100_000.0  # peak of every synthetic series
+CLEAR_DAY_START = datetime(2021, 6, 21, 5, 0)
+# share of clear and of scattered-cloud days in the year; the rest are overcast
+CLEAR_FRACTION = 0.62
+SCATTERED_FRACTION = 0.28
 
 
 def reference_clear_model() -> ClearSkyModel:
@@ -37,40 +43,26 @@ def reference_clear_model() -> ClearSkyModel:
 
 
 def trig_day_values(
-    a: float = REFERENCE_A,
-    b: float = REFERENCE_B,
-    c: float = REFERENCE_C,
-    noise: float = 0.0,
-    seed: int = 0,
+    a: float = REFERENCE_A, b: float = REFERENCE_B, c: float = REFERENCE_C
 ) -> np.ndarray:
     """Sample ``a*sin(b*t + c)`` on the symmetric integer grid spanning its arch.
 
     The grid is t in [-T0, T0] with T0 = round(c/b) (the rising zero of the
     arch); for the reference parameters that is 453 samples. Values are
-    clamped at zero, as is any optional Gaussian noise.
+    clamped at zero.
     """
     t0 = int(round(c / b))
     t = np.arange(-t0, t0 + 1, dtype=float)
-    v = a * np.sin(b * t + c)
-    if noise > 0:
-        rng = np.random.default_rng(seed)
-        v = v + rng.normal(0.0, noise, size=v.size)
-    return np.clip(v, 0.0, None)
+    return np.clip(a * np.sin(b * t + c), 0.0, None)
 
 
-def clear_day_series(
-    s_max_watts: float = 100_000.0,
-    interval_seconds: int = 900,
-    noise: float = 0.0,
-    seed: int = 0,
-    start: datetime | None = None,
-) -> PowerSeries:
+def clear_day_series() -> PowerSeries:
     """One clear day sampled from the reference arch, in watts."""
-    values = trig_day_values(noise=noise, seed=seed) * s_max_watts
+    values = trig_day_values() * S_MAX_WATTS
     return PowerSeries(
-        start=start or datetime(2021, 6, 21, 5, 0),
+        start=CLEAR_DAY_START,
         values=values,
-        interval_seconds=interval_seconds,
+        interval_seconds=INTERVAL_SECONDS,
         s_max=float(values.max()),
         normalized=False,
     )
@@ -96,11 +88,7 @@ def _day_profile(day: int, amplitude: float) -> np.ndarray:
     return amplitude * arch
 
 
-def synth_year_values(
-    seed: int = 42,
-    clear_fraction: float = 0.62,
-    scattered_fraction: float = 0.28,
-) -> np.ndarray:
+def synth_year_values(seed: int = 42) -> np.ndarray:
     """One synthetic year (35040 samples at 15 min) of normalized power.
 
     Days are drawn as clear, scattered (clear arch with smooth cloud dips)
@@ -112,7 +100,7 @@ def synth_year_values(
     kinds = rng.choice(
         3,
         size=DAYS_PER_YEAR,
-        p=[clear_fraction, scattered_fraction, 1.0 - clear_fraction - scattered_fraction],
+        p=[CLEAR_FRACTION, SCATTERED_FRACTION, 1.0 - CLEAR_FRACTION - SCATTERED_FRACTION],
     )
     for day in range(DAYS_PER_YEAR):
         season = np.cos(2.0 * np.pi * (day - 172) / DAYS_PER_YEAR)
@@ -133,12 +121,12 @@ def synth_year_values(
     return np.clip(out, 0.0, None) / out.max()
 
 
-def synth_year_series(seed: int = 42, s_max_watts: float = 100_000.0) -> PowerSeries:
-    values = synth_year_values(seed=seed) * s_max_watts
+def synth_year_series(seed: int = 42) -> PowerSeries:
+    values = synth_year_values(seed=seed) * S_MAX_WATTS
     return PowerSeries(
         start=datetime(2021, 1, 1, 0, 0),
         values=values,
-        interval_seconds=900,
+        interval_seconds=INTERVAL_SECONDS,
         s_max=float(values.max()),
         normalized=False,
     )

@@ -168,6 +168,15 @@ def _parse_rows(reader) -> tuple[list[datetime], list[float]]:
     return times, powers
 
 
+def _line_of_row(path: Path, i: int) -> int:
+    """File line of data row ``i`` (from 0), blank rows skipped as in ``_parse_rows``."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = enumerate(csv.reader(fh), start=1)
+        next(rows)  # the header
+        data = (lineno for lineno, row in rows if not _is_blank(row))
+        return next(itertools.islice(data, i, None))
+
+
 def load_series(path: str | Path, resample_seconds: int) -> PowerSeries:
     """Read a ``timestamp,power_w`` CSV and return a gap-free equispaced series.
 
@@ -199,7 +208,8 @@ def load_series(path: str | Path, resample_seconds: int) -> PowerSeries:
     if backwards.size:
         i = int(backwards[0]) + 1
         raise DataError(
-            f"timestamps not strictly increasing at row {i + 2} ({times[i].isoformat()})"
+            f"timestamps not strictly increasing at line {_line_of_row(path, i)} "
+            f"({times[i].isoformat()})"
         )
 
     if steps.size:

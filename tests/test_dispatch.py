@@ -11,6 +11,7 @@ import pytest
 
 from loadsizer import PowerSeries
 from loadsizer.dispatch import (
+    SwitchSchedule,
     _subset_bits,
     capture_best,
     combo_histogram,
@@ -309,6 +310,38 @@ def test_histogram_csv_has_nonzero_combos_only(tmp_path):
     rows = path.read_text().strip().splitlines()[1:]
     combos = {int(r.split(",")[1]) for r in rows}
     assert combos == {1, 2, 3}
+
+
+def test_schedule_stores_combo_indices_and_derives_u():
+    sched = dispatch_greedy(make_series([0.5, 0.65, 0.1, 0.3]), [0.4, 0.2])
+    assert (sched.n, len(sched)) == (2, 4)
+    assert sched.combo_index.dtype == np.int64
+    assert np.array_equal(sched.u, combo_states(sched.combo_index, 2))
+    assert sched.u.dtype == np.uint8
+
+
+@pytest.mark.parametrize(
+    "combo, n, message",
+    [
+        (np.zeros((2, 3), dtype=int), 2, "combo_index must be a 1-D vector"),
+        ([0, 3, 4], 2, r"combo_index values must lie in 0\.\.3"),
+        ([-1, 0], 2, r"combo_index values must lie in 0\.\.3"),
+        ([0, 1], 0, r"need 1\.\.20 loads, got 0"),
+        ([0, 1], 21, r"need 1\.\.20 loads, got 21"),
+    ],
+    ids=["2d", "value_2_pow_n", "negative", "n_0", "n_21"],
+)
+def test_switch_schedule_refuses_malformed_combo_indices(combo, n, message):
+    with pytest.raises(DataError, match=message):
+        SwitchSchedule(combo, n)
+
+
+def test_histogram_refuses_a_schedule_from_another_series():
+    day = np.sin(np.linspace(0.0, np.pi, 96)).clip(0.0, None)
+    sched = dispatch_greedy(make_series(np.tile(day, 2)), [0.6, 0.3])
+    message = r"schedule shape \(2, 192\) does not match 2 loads x 96 steps"
+    with pytest.raises(DataError, match=message):
+        combo_histogram(make_series(day), sched)
 
 
 def test_schedule_csv_refuses_a_schedule_longer_than_the_series(tmp_path):

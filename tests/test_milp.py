@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from loadsizer.dispatch import combo_index, combo_states
 from loadsizer.errors import DataError
 from loadsizer.milp import (
     branch_and_bound,
@@ -96,7 +97,7 @@ def test_relaxation_bound_below_every_schedule():
     relax = solve_lp_relaxation(inst)
     for assignment in product((0, 1), repeat=8):
         u = np.array(assignment).reshape(2, 4)
-        _, capture = best_sizes_for_schedule(inst, u)
+        _, capture = best_sizes_for_schedule(inst, combo_index(u))
         assert relax.objective_lb <= s.sum() - capture + 1e-9
 
 
@@ -110,7 +111,7 @@ def test_fixed_assignment_matches_direct_evaluation():
         u = rng.integers(0, 2, size=(n, T))
         fixes = {(i, t): int(u[i, t]) for i in range(n) for t in range(T)}
         relax = solve_lp_relaxation(inst, fixes)
-        _, capture = best_sizes_for_schedule(inst, u)
+        _, capture = best_sizes_for_schedule(inst, combo_index(u))
         assert relax.objective_lb == pytest.approx(s.sum() - capture, abs=1e-8)
 
 
@@ -293,6 +294,14 @@ def test_pinned_example_single_load():
     assert sol.u[0].tolist() == [0, 1, 1]
 
 
+def test_solution_stores_combo_indices_and_derives_u_and_y():
+    inst = build_instance([0.3, 0.6, 0.9, 0.45], 2)
+    sol = branch_and_bound(inst, gap_tol=0.0)
+    assert sol.combo_index.shape == (4,)
+    assert np.array_equal(sol.u, combo_states(sol.combo_index, 2))
+    assert np.array_equal(sol.y, sol.u * sol.x[:, None])
+
+
 def test_pinned_example_two_loads():
     inst = build_instance([0.3, 0.6, 0.9], 2)
     sol = branch_and_bound(inst, gap_tol=0.0)
@@ -409,18 +418,22 @@ def test_dispatch_keeps_zero_size_load_off(zero_row):
     x = np.insert(positive, zero_row, [0.0])
     x_tiny = np.insert(positive, zero_row, [1e-13])
     inst = build_instance(s, 3)
-    u, capture = _dispatch(inst, x)
+    combo, capture = _dispatch(inst, x)
+    u = combo_states(combo, 3)
     assert not u[zero_row].any()
-    alone_u, alone_capture = _dispatch(build_instance(s, 2), positive)
+    alone_combo, alone_capture = _dispatch(build_instance(s, 2), positive)
+    alone_u = combo_states(alone_combo, 2)
     assert np.array_equal(np.delete(u, zero_row, axis=0), alone_u)
     assert capture == alone_capture
-    tiny_u, tiny_capture = _dispatch(inst, x_tiny)  # sizes <= 1e-12 count as zero
+    tiny_combo, tiny_capture = _dispatch(inst, x_tiny)  # sizes <= 1e-12 count as zero
+    tiny_u = combo_states(tiny_combo, 3)
     assert np.array_equal(tiny_u, u) and tiny_capture == capture
 
 
 def test_dispatch_all_zero_sizes_is_all_off():
     inst = build_instance([0.2, 0.5, 0.9], 2)
-    u, capture = _dispatch(inst, np.zeros(2))
+    combo, capture = _dispatch(inst, np.zeros(2))
+    u = combo_states(combo, 2)
     assert u.shape == (2, 3) and not u.any() and capture == 0.0
 
 

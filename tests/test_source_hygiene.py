@@ -1,4 +1,5 @@
-"""Source checks on the package itself: no imported name goes unused."""
+"""Source checks on the package itself: no imported name goes unused, and
+only the reader imports the ``csv`` module."""
 
 from __future__ import annotations
 
@@ -21,6 +22,17 @@ def imported_names(tree: ast.Module) -> dict[str, int]:
             for alias in node.names:
                 names[alias.asname or alias.name] = node.lineno
     return names
+
+
+def imported_modules(tree: ast.Module) -> set[str]:
+    """Every module an ``import`` or ``from ... import`` names."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module)
+    return modules
 
 
 def used_names(tree: ast.Module) -> set[str]:
@@ -49,3 +61,14 @@ def test_every_imported_name_is_used(path):
 def test_the_check_sees_an_unused_import():
     tree = ast.parse("import contextlib\nimport numpy as np\n\nx = np.zeros(1)\n")
     assert set(imported_names(tree)) - used_names(tree) == {"contextlib"}
+
+
+def test_only_the_reader_imports_csv():
+    """CSV files are read in ``timeseries`` and written through ``results``'s
+    column writers; no other module opens one with the ``csv`` module."""
+    importers = {
+        str(path.relative_to(PACKAGE))
+        for path in PACKAGE.rglob("*.py")
+        if "csv" in imported_modules(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert importers == {"timeseries.py"}

@@ -217,14 +217,14 @@ LOAD_ERRORS = [
         "2021-01-01T00:02:00,3\n",
         60,
         DataError,
-        "timestamps not strictly increasing at row 4 (2021-01-01T00:02:00)",
+        "timestamps not strictly increasing at line 5 (2021-01-01T00:02:00)",
     ),
     (
         "not_increasing_across_offsets",
         "timestamp,power_w\n2021-01-01T01:00:00+01:00,5\n2021-01-01T00:00:00+00:00,3\n",
         60,
         DataError,
-        "timestamps not strictly increasing at row 3 (2021-01-01T00:00:00+00:00)",
+        "timestamps not strictly increasing at line 3 (2021-01-01T00:00:00+00:00)",
     ),
     (
         "sub_second_interval",
