@@ -79,9 +79,12 @@ class ComboHistogram:
 
 def combo_states(combo, n: int) -> np.ndarray:
     """(n, len(combo)) uint8 on/off matrix of combo indices; row i is load i + 1."""
-    combo = np.asarray(combo, dtype=np.int64)
-    shifts = n - 1 - np.arange(n)
-    return ((combo[None, :] >> shifts[:, None]) & 1).astype(np.uint8)
+    # shifting in the narrowest unsigned type keeps the (n, T) temporary small
+    narrow = np.min_scalar_type(2**n - 1)
+    shifts = np.arange(n - 1, -1, -1, dtype=narrow)
+    states = np.asarray(combo).astype(narrow)[None, :] >> shifts[:, None]
+    states &= 1
+    return states.astype(np.uint8, copy=False)
 
 
 def combo_index(u) -> np.ndarray:

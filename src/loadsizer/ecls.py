@@ -11,7 +11,6 @@ search ranked on full-series dispatch utilization.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -56,7 +55,6 @@ class SwitchMatrix:
         return np.repeat(self.distinct_rows, self.block_length, axis=0)
 
 
-@functools.lru_cache(maxsize=256)
 def build_switch_matrix(n: int, block_length: int = DEFAULT_BLOCK_LENGTH) -> SwitchMatrix:
     if not 1 <= n <= 12:
         raise DataError(f"n must be in 1..12, got {n}")

@@ -131,7 +131,9 @@ def _active_set_qp(H, g, C, b, max_iter, x, working, mult):
     subproblem solution is infeasible, and drop the constraint with the
     most negative multiplier when it is stationary. The working set is
     kept sorted, so every KKT system is built in one canonical row order
-    and the answer does not depend on the path taken to its working set.
+    and the final working set fixes the answer, whatever path led to it.
+    On degenerate data different starts can end on different working
+    sets, whose points may differ by an ulp.
 
     It starts from ``x``, the feasible EQP point of the sorted ``working``
     set with multipliers ``mult``, and returns at once when they are all
@@ -370,8 +372,10 @@ def optimize_m(
     ``max(restarts, 1) + 1`` starts: equidistant ones, then seeded random
     ones. Only strict improvements are accepted, so the utilization
     sequence is non-decreasing. Each QP warm-starts from the current (or
-    previous lattice) point's working set; with the working set kept in
-    canonical order that changes only the work, not the answer.
+    previous lattice) point's working set. The final working set fixes a
+    QP's answer, but on degenerate data a warm and a cold start can end on
+    different working sets one ulp apart, and the exact ``draw <= S`` test
+    of dispatch can turn that ulp into SU.
 
     A sweep's unscored moves are solved as one batch and scored in order.
     The search remembers each scored point's SU (and the warm set it was

@@ -113,11 +113,12 @@ def _is_blank(row: list[str]) -> bool:
     return not row or (len(row) == 1 and not row[0].strip())
 
 
-def _scan_rows(rows, lineno: int, times: list[datetime], powers: list[float]) -> None:
-    """Append the data rows one at a time, raising at the first bad one.
+def _check_rows(rows, lineno: int, first: datetime | None, before: int) -> None:
+    """Raise at the first faulty row of a block of rows starting at line ``lineno``.
 
-    ``rows`` start at line ``lineno``; ``times`` and ``powers`` hold the
-    rows before them.
+    ``first`` is the file's first stamp (None before the first data row)
+    and ``before`` the offset of the stamp just before the block, in
+    microseconds from ``first`` (-1 before the first data row).
     """
     for lineno, row in enumerate(rows, start=lineno):
         if _is_blank(row):
@@ -125,7 +126,8 @@ def _scan_rows(rows, lineno: int, times: list[datetime], powers: list[float]) ->
         if len(row) < 2:
             raise ParseError(f"line {lineno}: expected two columns, got {row}")
         ts = _parse_timestamp(row[0], lineno)
-        if times and (ts.tzinfo is None) != (times[0].tzinfo is None):
+        first = first or ts
+        if (ts.tzinfo is None) != (first.tzinfo is None):
             raise ParseError(
                 f"line {lineno}: timestamp {row[0]!r} mixes offset-aware and naive rows"
             )
@@ -135,46 +137,46 @@ def _scan_rows(rows, lineno: int, times: list[datetime], powers: list[float]) ->
             raise ParseError(f"line {lineno}: bad power value {row[1]!r}") from exc
         if not math.isfinite(p) or p < 0:
             raise ParseError(f"line {lineno}: power must be finite and >= 0, got {p}")
-        times.append(ts)
-        powers.append(p)
+        offset = (ts - first) // _MICROSECOND
+        if offset <= before:
+            raise DataError(
+                f"timestamps not strictly increasing at line {lineno} ({ts.isoformat()})"
+            )
+        before = offset
 
 
-def _parse_rows(reader) -> tuple[list[datetime], list[float]]:
-    """Timestamps and powers of the data rows, parsed a block of rows at a time.
+def _parse_rows(reader) -> tuple[datetime | None, list[np.ndarray], list[np.ndarray]]:
+    """The first stamp, then per block the rows' microseconds from it and powers.
 
-    Each block is parsed column by column; a block with a bad row goes to
-    ``_scan_rows``, which reports the first bad row by its line number.
+    Rows are parsed a block at a time, column by column; a block that is
+    not clean goes to ``_check_rows``, which raises at its first bad row.
     """
-    times: list[datetime] = []
-    powers: list[float] = []
+    first = None
+    before = -1  # offsets start at 0
+    micros: list[np.ndarray] = []
+    powers: list[np.ndarray] = []
     lineno = 2
     while rows := list(itertools.islice(reader, CSV_BLOCK_ROWS)):
-        data = [row for row in rows if len(row) > 1 or not _is_blank(row)]
-        try:
-            stamps = list(map(datetime.fromisoformat, [row[0].strip() for row in data]))
-            values = np.array(list(map(float, [row[1] for row in data])))
-        except (IndexError, ValueError):
-            stamps = None
-        if (
-            stamps is None
-            or len({t.tzinfo is None for t in times[:1] + stamps}) > 1
-            or not ((values >= 0) & (values < math.inf)).all()
-        ):
-            _scan_rows(rows, lineno, times, powers)
-        else:
-            times += stamps
-            powers += values.tolist()
+        if data := [row for row in rows if not _is_blank(row)]:
+            try:
+                stamps = list(map(datetime.fromisoformat, [row[0].strip() for row in data]))
+                values = np.array(list(map(float, [row[1] for row in data])))
+                first = first or stamps[0]
+                # a naive stamp minus an offset-aware one raises TypeError
+                offsets = np.array([(t - first) // _MICROSECOND for t in stamps], dtype=np.int64)
+            except (IndexError, TypeError, ValueError):
+                offsets = None
+            if (
+                offsets is None
+                or not ((values >= 0) & (values < math.inf)).all()
+                or not (np.diff(offsets, prepend=before) > 0).all()
+            ):
+                _check_rows(rows, lineno, first, before)
+            before = int(offsets[-1])
+            micros.append(offsets)
+            powers.append(values)
         lineno += len(rows)
-    return times, powers
-
-
-def _line_of_row(path: Path, i: int) -> int:
-    """File line of data row ``i`` (from 0), blank rows skipped as in ``_parse_rows``."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = enumerate(csv.reader(fh), start=1)
-        next(rows)  # the header
-        data = (lineno for lineno, row in rows if not _is_blank(row))
-        return next(itertools.islice(data, i, None))
+    return first, micros, powers
 
 
 def load_series(path: str | Path, resample_seconds: int) -> PowerSeries:
@@ -196,26 +198,13 @@ def load_series(path: str | Path, resample_seconds: int) -> PowerSeries:
             raise ParseError(f"{path}: empty file") from None
         if len(header) < 2:
             raise ParseError(f"{path}: header must have two columns, got {header}")
-        times, powers = _parse_rows(reader)
-    if not times:
+        t0, micro_blocks, power_blocks = _parse_rows(reader)
+    if t0 is None:
         raise ParseError(f"{path}: no data rows")
+    micros = np.concatenate(micro_blocks)
 
-    # exact microseconds from the first stamp; naive or offset-aware alike
-    t0 = times[0]
-    micros = np.array([(t - t0) // _MICROSECOND for t in times], dtype=np.int64)
     steps = np.diff(micros)
-    backwards = np.flatnonzero(steps <= 0)
-    if backwards.size:
-        i = int(backwards[0]) + 1
-        raise DataError(
-            f"timestamps not strictly increasing at line {_line_of_row(path, i)} "
-            f"({times[i].isoformat()})"
-        )
-
-    if steps.size:
-        source_interval = int((steps / 1e6).astype(np.int64).min())
-    else:
-        source_interval = resample_seconds
+    source_interval = int(steps.min()) // 1_000_000 if steps.size else resample_seconds
     if source_interval <= 0:
         raise DataError("source interval must be positive")
     if resample_seconds % source_interval != 0:
@@ -223,13 +212,11 @@ def load_series(path: str | Path, resample_seconds: int) -> PowerSeries:
             f"resample_seconds={resample_seconds} is not a multiple of the "
             f"source interval {source_interval}s"
         )
-
-    offsets = micros / 1e6
-    if (np.mod(offsets, source_interval) != 0).any():
+    if (micros % (source_interval * 1_000_000)).any():
         raise DataError("timestamps are not aligned to the source interval")
 
-    windows = (offsets // resample_seconds).astype(int)
-    sums = np.bincount(windows, weights=np.asarray(powers, dtype=float))
+    windows = micros // (resample_seconds * 1_000_000)
+    sums = np.bincount(windows, weights=np.concatenate(power_blocks))
     counts = np.bincount(windows)
     filled = counts == 0
     values = np.where(filled, 0.0, sums / np.maximum(counts, 1))

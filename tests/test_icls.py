@@ -230,6 +230,24 @@ def test_warm_start_matches_cold_start_bit_for_bit(n):
     assert 0 < hits < pairs  # both the one-solve hit and the longer paths ran
 
 
+def test_degenerate_ties_can_end_warm_and_cold_starts_on_different_sets():
+    # the final working set fixes a QP's answer, but a tie lets two starts
+    # end on different sets one ulp apart, and dispatch's exact draw <= S
+    # test turns that ulp into SU
+    series = sorted_series([0.1, 0.1, 0.4, 0.5, 0.6, 0.6, 0.6, 0.8, 0.9])
+    context = _FitContext(series.values, 3)
+    m = SwitchTimes((1, 1, 1, 2, 1, 1, 1))
+    cold = context.solve(m, 1)
+    warm = context.solve(m, 1, warm=(8, 9))
+    kkt_check(series, cold, 3)
+    kkt_check(series, warm, 3)
+    assert np.abs(cold.x - warm.x).max() <= 1e-15
+    assert (cold.working_set, warm.working_set) == ((7, 8, 9), (8, 9))
+    assert cold.x[0] == 0.5000000000000001 and warm.x[0] == 0.5
+    assert cold.solar_utilization == pytest.approx(0.847826, abs=1e-6)
+    assert warm.solar_utilization == 1.0
+
+
 def test_cold_start_is_the_exact_nonnegativity_point(monkeypatch):
     # x_bar = 0 with multipliers -g solves the EQP on the nonnegativity
     # rows exactly; a LAPACK solve of it leaves components of order -1e-15

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import builtins
 import math
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from loadsizer import (
     normalize,
     sort_ascending,
 )
+from loadsizer.results import CSV_BLOCK_ROWS
 from loadsizer.synth import REFERENCE_A, REFERENCE_B, REFERENCE_C, trig_day_values
 
 
@@ -277,6 +280,57 @@ def test_load_series_error_messages(tmp_path, text, resample, error, message):
         load_series(path, resample_seconds=resample)
     assert type(info.value) is error
     assert str(info.value) == message.format(path=path)
+
+
+def minute_rows(count, offset=""):
+    start = datetime(2021, 1, 1)
+    return [f"{(start + timedelta(minutes=k)).isoformat()}{offset},1" for k in range(count)]
+
+
+def test_load_series_reports_the_first_fault_in_file_order(tmp_path):
+    rows = minute_rows(CSV_BLOCK_ROWS + 1000)
+    rows[3] = rows[2]  # line 5 repeats line 4's stamp
+    rows[4999] = rows[4999].replace(",1", ",abc")  # line 5001, in the second block
+    path = write_csv(tmp_path / "two_faults.csv", rows)
+    with pytest.raises(DataError) as info:
+        load_series(path, resample_seconds=60)
+    assert type(info.value) is DataError
+    assert str(info.value) == "timestamps not strictly increasing at line 5 (2021-01-01T00:02:00)"
+
+
+@pytest.mark.parametrize(
+    "text, resample",
+    [case[1:3] for case in LOAD_ERRORS] + [("timestamp,power_w\n2021-01-01T00:00:00,1\n", 60)],
+    ids=[case[0] for case in LOAD_ERRORS] + ["valid"],
+)
+def test_load_series_opens_the_file_once(tmp_path, monkeypatch, text, resample):
+    path = tmp_path / "input.csv"
+    path.write_text(text, encoding="utf-8")
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(Path(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    try:
+        load_series(path, resample_seconds=resample)
+    except (DataError, ParseError):
+        pass
+    assert opened.count(path) == (1 if resample > 0 else 0)
+
+
+def test_load_series_naive_row_after_an_aware_block_is_a_parse_error(tmp_path):
+    rows = minute_rows(CSV_BLOCK_ROWS + 10, offset="+01:00")
+    rows[CSV_BLOCK_ROWS + 2] = rows[CSV_BLOCK_ROWS + 2].replace("+01:00", "")
+    path = write_csv(tmp_path / "aware_then_naive.csv", rows)
+    with pytest.raises(ParseError) as info:
+        load_series(path, resample_seconds=60)
+    stamp = rows[CSV_BLOCK_ROWS + 2].split(",")[0]
+    assert str(info.value) == (
+        f"line {CSV_BLOCK_ROWS + 4}: timestamp {stamp!r} mixes offset-aware and naive rows"
+    )
 
 
 # ---------------------------------------------------------------------------
