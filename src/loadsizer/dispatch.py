@@ -210,7 +210,12 @@ def utilization(series: PowerSeries, schedule: SwitchSchedule, x) -> Utilization
 def combo_histogram(
     series: PowerSeries, schedule: SwitchSchedule, bins_per_day: int = 24
 ) -> ComboHistogram:
-    """Count combination occurrences per time-of-day bin, daytime samples only."""
+    """Count combination occurrences per time-of-day bin, daytime samples only.
+
+    The bins are the clock time of the first row's UTC offset: a step's
+    time of day counts from ``series.start``, so after a daylight-saving
+    change a sample is binned one hour off its local clock time.
+    """
     if bins_per_day < 1:
         raise DataError("bins_per_day must be >= 1")
     if len(series) * series.interval_seconds < 86400:

@@ -105,7 +105,9 @@ class IclsResult:
     reports the totals over every QP of its search. ``iterations`` counts
     the EQPs solved: the warm working set's, when its stacked solve ran,
     and each of the active-set iteration's; a cold start solves none.
-    A warm hit is a QP whose warm working set was optimal as given.
+    A warm hit is a QP whose warm working set was optimal as given. Only
+    the pattern search starts warm: on a lattice small enough to be
+    solved whole, ``warm_hits`` is 0 and ``iterations`` counts cold EQPs.
     """
 
     x_bar: np.ndarray = field(repr=False)
@@ -199,6 +201,8 @@ class _FitContext:
         self.w = nonzero_combo_rows(n) @ upper_ones(n)
         self.prefix = np.concatenate([[0.0], np.cumsum(values)])
         self.total_power = float(values.sum())
+        if self.total_power <= 0:
+            raise DataError("total energy is zero")
         # constraint rows: x_bar >= 0, then one cap per block
         self.C = np.vstack([-np.eye(n), self.w])
         self.max_iter = 50 * (n + self.w.shape[0])
@@ -314,22 +318,12 @@ def solve_icls_fixed_m(
     return _FitContext(sorted_series.values, n).solve(m, offset)
 
 
-def _lattice(total: int, blocks: int):
-    """All (offset, free lengths) with offset >= 0, lengths >= 1, room left."""
-    if blocks == 1:
-        for k0 in range(total):
-            yield k0, ()
-        return
-    k = blocks - 1
-    for k0 in range(0, total - blocks + 1):
-        width = total - k0
-        for cuts in itertools.combinations(range(1, width), k):
-            free = []
-            prev = 0
-            for c in cuts:
-                free.append(c - prev)
-                prev = c
-            yield k0, tuple(free)
+def _lattice(total: int, blocks: int) -> np.ndarray:
+    """Every point (offset, free lengths) with offset >= 0, lengths >= 1 and
+    room left, one row each in lexicographic order: the gaps between
+    ``blocks`` ascending cuts in ``range(total)``."""
+    cuts = np.array(list(itertools.combinations(range(total), blocks)), dtype=np.int64)
+    return np.diff(cuts, axis=1, prepend=0)
 
 
 def _lattice_size(total: int, blocks: int) -> int:
@@ -366,22 +360,25 @@ def optimize_m(
     """Integer search over the all-off dwell and switch blocks, maximizing
     dispatch utilization.
 
-    Small lattices are enumerated exhaustively; otherwise a deterministic
-    pattern search (all single-coordinate moves on the offset and the free
-    block lengths, step halving from T/16 down to 1) runs from
-    ``max(restarts, 1) + 1`` starts: equidistant ones, then seeded random
-    ones. Only strict improvements are accepted, so the utilization
-    sequence is non-decreasing. Each QP warm-starts from the current (or
-    previous lattice) point's working set. The final working set fixes a
-    QP's answer, but on degenerate data a warm and a cold start can end on
-    different working sets one ulp apart, and the exact ``draw <= S`` test
-    of dispatch can turn that ulp into SU.
+    A lattice of at most ``_EXHAUSTIVE_LIMIT`` points is solved cold as
+    one batch, so every point gets the bytes `solve_icls_fixed_m` gives
+    it. Otherwise a deterministic pattern search (all single-coordinate
+    moves on the offset and the free block lengths, step halving from
+    T/16 down to 1) runs from ``max(restarts, 1) + 1`` starts: equidistant
+    ones, then seeded random ones. Only strict improvements are accepted,
+    so the utilization sequence is non-decreasing. Warm starts are used
+    only here: each move's QP starts from the current point's working
+    set. The final working set fixes a QP's answer, but on degenerate data
+    a warm and a cold start can end on different working sets one ulp
+    apart, and the exact ``draw <= S`` test of dispatch can turn that ulp
+    into SU.
 
-    A sweep's unscored moves are solved as one batch and scored in order.
-    The search remembers each scored point's SU (and the warm set it was
-    solved from), not its result: a move whose SU cannot beat the sweep's
-    leader is never built into a result, and a revisited move that can is
-    solved again from the same warm set.
+    Both searches pick their leader one way: a batch of points is solved
+    from one warm set and scored in order, and a point whose SU is below
+    the leader's is never built into a result. The search remembers each
+    scored point's SU (and the warm set it was solved from), not its
+    result: a revisited move that can win is solved again from the same
+    warm set.
     """
     if restarts < 0:
         raise DataError("restarts must be >= 0")
@@ -397,28 +394,6 @@ def optimize_m(
         work[0] += 1
         work[1] += iterations
         work[2] += int(warm_hit)
-
-    if _lattice_size(total, blocks) <= _EXHAUSTIVE_LIMIT:
-        best, warm = None, ()
-        for k0, free in _lattice(total, blocks):
-            m = SwitchTimes.from_free(free, total - k0, n)
-            (fit,) = context.fits(np.array([k0]), np.array([m.lengths]), warm)
-            su = context.utilization(fit.x)
-            tally(fit.iterations, fit.warm_hit)
-            if best is None or su >= best.solar_utilization:  # else it loses on SU
-                trial = context.result(k0, m, fit, su)
-                if best is None or _result_key(trial) < _result_key(best):
-                    best = trial
-            warm = fit.working
-        return _with_search_totals(best, 1, *work)
-
-    rng = np.random.default_rng(seed)
-    starts = [(0, SwitchTimes.equidistant(total, n).free)]
-    k0_mid = total // (blocks + 1)
-    if total - k0_mid >= blocks:
-        starts.append((k0_mid, SwitchTimes.equidistant(total - k0_mid, n).free))
-    while len(starts) < max(restarts, 1) + 1:
-        starts.append(_random_point(rng, total, blocks))
 
     # a point is its offset followed by its free lengths; int32 keys halve the table
     scores: dict[bytes, tuple[float, tuple[int, ...]]] = {}  # point -> (SU, warm set)
@@ -446,14 +421,41 @@ def optimize_m(
             (fit,) = context.fits(point[:1], lengths, warm)
         return context.result(int(point[0]), SwitchTimes(tuple(lengths[0].tolist())), fit, su)
 
+    def lead(
+        points: np.ndarray,
+        warm: tuple[int, ...],
+        leader: IclsResult | None = None,
+        at: np.ndarray | None = None,
+    ):
+        """The best of ``leader`` (at point ``at``) and the rows of ``points``
+        solved from ``warm``, by `_result_key`, and its point."""
+        keys, fits = score(points, warm)
+        for i, key in enumerate(keys):
+            if leader is not None and scores[key][0] < leader.solar_utilization:
+                continue  # loses on SU, which _result_key compares first
+            trial = result_at(points[i], key, fits.get(i))
+            if leader is None or _result_key(trial) < _result_key(leader):
+                leader, at = trial, points[i]
+        return leader, at
+
+    if _lattice_size(total, blocks) <= _EXHAUSTIVE_LIMIT:
+        best, _ = lead(_lattice(total, blocks), ())
+        return _with_search_totals(best, 1, *work)
+
+    rng = np.random.default_rng(seed)
+    starts = [(0, SwitchTimes.equidistant(total, n).free)]
+    k0_mid = total // (blocks + 1)
+    if total - k0_mid >= blocks:
+        starts.append((k0_mid, SwitchTimes.equidistant(total - k0_mid, n).free))
+    while len(starts) < max(restarts, 1) + 1:
+        starts.append(_random_point(rng, total, blocks))
+
     # row 2c moves coordinate c (0 is the offset) up, row 2c + 1 down
     moves = np.repeat(np.eye(blocks, dtype=np.int64), 2, axis=0)
     moves[1::2] *= -1
     best: IclsResult | None = None
     for k0, free in starts:
-        point = np.array((k0,) + free, dtype=np.int64)
-        (key,), fits = score(point[None], ())
-        current = result_at(point, key, fits.get(0))
+        current, point = lead(np.array([(k0,) + free], dtype=np.int64), ())
         step = max(total // 16, 1)
         sweeps = 0
         while step >= 1 and sweeps < _MAX_SWEEPS:
@@ -463,21 +465,11 @@ def optimize_m(
                 & (trials[:, 1:] >= 1).all(axis=1)  # the other lengths are >= 1 already
                 & (trials.sum(axis=1) <= total - 1)
             )
-            trials = trials[valid]
-            keys, fits = score(trials, current.working_set)
-            improved = None
-            for i, key in enumerate(keys):
-                leader = improved or current
-                if scores[key][0] < leader.solar_utilization:
-                    continue  # loses on SU, which _result_key compares first
-                trial = result_at(trials[i], key, fits.get(i))
-                if _result_key(trial) < _result_key(leader):
-                    improved, improved_point = trial, trials[i]
+            leader, point = lead(trials[valid], current.working_set, current, point)
             sweeps += 1
-            if improved is None:
+            if leader is current:
                 step //= 2
-            else:
-                current, point = improved, improved_point
+            current = leader
         if best is None or _result_key(current) < _result_key(best):
             best = current
     return _with_search_totals(best, len(starts), *work)

@@ -137,6 +137,37 @@ def test_schedule_keeps_the_input_utc_offset(runner, tmp_path):
     assert {int(r["bin"]) for r in hist} == lit
 
 
+def test_histogram_bins_in_the_first_rows_clock_across_a_dst_change(runner, tmp_path):
+    # three days at 15 min across 2021-03-28, when clocks go from +01:00 to
+    # +02:00 at 01:00 UTC; the sun shines from 06:00 to 18:00 local time
+    winter, summer = timezone(timedelta(hours=1)), timezone(timedelta(hours=2))
+    change = datetime(2021, 3, 28, 1, tzinfo=timezone.utc)
+    first = datetime(2021, 3, 27, tzinfo=winter)
+    path = tmp_path / "dst.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["timestamp", "power_w"])
+        for k in range(3 * 96):
+            stamp = (first + k * timedelta(minutes=15)).astimezone(winter)
+            if stamp >= change:
+                stamp = stamp.astimezone(summer)
+            writer.writerow([stamp.isoformat(), 1000 if 6 <= stamp.hour < 18 else 0])
+    for command in ("schedule", "histogram"):
+        result = runner.invoke(
+            main, [command, "--sizes", "0.5,0.25", str(path), "--output-dir", str(tmp_path)]
+        )
+        assert result.exit_code == 0, result.output
+    # every stamp and every bin is in the first row's +01:00 clock, so the
+    # two summer days light bins 5..16 and the winter day bins 6..17
+    stamps = [r["timestamp"] for r in csv.DictReader(open(tmp_path / "schedule.csv"))]
+    assert "2021-03-29T15:00:00+01:00" in stamps
+    assert all(stamp.endswith("+01:00") for stamp in stamps)
+    lit = np.zeros(24, dtype=int)
+    for row in csv.DictReader(open(tmp_path / "histogram.csv")):
+        lit[int(row["bin"])] += int(row["count"])
+    assert lit.tolist() == [0] * 5 + [8] + [12] * 11 + [4] + [0] * 6
+
+
 def test_mixed_naive_and_offset_rows_are_a_parse_error(tmp_path):
     path = tmp_path / "mixed.csv"
     path.write_text(

@@ -14,6 +14,7 @@ from loadsizer.icls import (
     _MAX_SWEEPS,
     IclsResult,
     _FitContext,
+    _lattice,
     _lattice_size,
     _random_point,
     _result_key,
@@ -449,16 +450,65 @@ def enumerate_offset_lattice(total, n):
             yield k0, free
 
 
+def lattice_oracle(series, n):
+    """Every lattice point's cold fixed-m solve."""
+    total = series.values.size
+    return [
+        solve_icls_fixed_m(series, SwitchTimes.from_free(free, total - k0, n), n, offset=k0)
+        for k0, free in enumerate_offset_lattice(total, n)
+    ]
+
+
 def test_optimize_m_matches_exhaustive_small():
     rng = np.random.default_rng(4)
     values = np.sort(rng.uniform(0.05, 1.0, size=14))
     series = sorted_series(values)
     best = optimize_m(series, 2, restarts=4, seed=1)
-    sus = []
-    for k0, free in enumerate_offset_lattice(14, 2):
-        m = SwitchTimes.from_free(free, 14 - k0, 2)
-        sus.append(solve_icls_fixed_m(series, m, 2, offset=k0).solar_utilization)
+    sus = [r.solar_utilization for r in lattice_oracle(series, 2)]
     assert best.solar_utilization == pytest.approx(max(sus), abs=1e-12)
+
+
+@pytest.mark.parametrize("total, n", [(5, 1), (9, 2), (14, 3), (30, 2), (17, 4), (40, 1)])
+def test_lattice_rows_are_the_enumeration_in_order(total, n):
+    rows = _lattice(total, 2**n - 1)
+    assert rows.dtype == np.int64
+    assert [tuple(row) for row in rows.tolist()] == [
+        (k0,) + free for k0, free in enumerate_offset_lattice(total, n)
+    ]
+
+
+def test_exhaustive_branch_finds_the_tied_lattice_optimum():
+    # a chain of warm starts, each point from the previous point's working
+    # set, ended a tied QP one ulp away from its cold answer and missed this
+    series = sorted_series([0.2, 0.2, 0.3, 0.4, 0.7, 0.7, 0.9, 1.0])
+    found = optimize_m(series, 3)
+    best = max(r.solar_utilization for r in lattice_oracle(series, 3))
+    assert found.solar_utilization == best == 0.9545454545454545
+    assert (found.offset, found.m.lengths) == (1, (1,) * 7)
+
+
+SMALL_LATTICES = [
+    (1, 1), (1, 2), (1, 17), (1, 60), (2, 3), (2, 4), (2, 7), (2, 12), (3, 7), (3, 8), (3, 10)
+]
+
+
+@pytest.mark.parametrize("grid", [False, True], ids=["uniform", "grid"])
+@pytest.mark.parametrize("n, total", SMALL_LATTICES)
+def test_small_lattice_result_is_its_cold_fixed_m_solve(n, total, grid):
+    # a lattice small enough to be solved whole is solved cold, point by
+    # point as solve_icls_fixed_m solves it, on tied (0.1-grid) data too
+    rng = np.random.default_rng(100 * n + total)
+    for _ in range(3):
+        values = rng.integers(1, 11, size=total) / 10 if grid else rng.uniform(0.01, 1.0, total)
+        series = sorted_series(np.sort(values))
+        found = optimize_m(series, n)
+        oracle = lattice_oracle(series, n)
+        assert found.solar_utilization == max(r.solar_utilization for r in oracle)
+        (chosen,) = [r for r in oracle if (r.offset, r.m) == (found.offset, found.m)]
+        assert found.x.tobytes() == chosen.x.tobytes()
+        assert found.working_set == chosen.working_set
+        assert (found.qp_solves, found.warm_hits) == (len(oracle), 0)
+        assert found.iterations == sum(r.iterations for r in oracle)
 
 
 def test_optimize_m_single_load_threshold():
@@ -485,11 +535,7 @@ def test_pattern_search_near_exhaustive_medium():
     values = np.sort(rng.uniform(0.02, 1.0, size=60))
     series = sorted_series(values)
     found = optimize_m(series, 2, restarts=6, seed=5)
-    best_su = -1.0
-    for k0, free in enumerate_offset_lattice(60, 2):
-        m = SwitchTimes.from_free(free, 60 - k0, 2)
-        su = solve_icls_fixed_m(series, m, 2, offset=k0).solar_utilization
-        best_su = max(best_su, su)
+    best_su = max(r.solar_utilization for r in lattice_oracle(series, 2))
     assert found.solar_utilization >= best_su - 5e-3
 
 
@@ -588,6 +634,21 @@ def test_optimize_m_refuses_negative_restarts():
     series = sorted_series(np.linspace(0.1, 1.0, 40))
     with pytest.raises(DataError, match="restarts must be >= 0"):
         optimize_m(series, 2, restarts=-3)
+
+
+@pytest.mark.parametrize("route", ["optimize_m", "solve_icls_fixed_m", "line_search_C"])
+def test_all_zero_series_is_refused_by_both_least_squares_routes(route):
+    from loadsizer.ecls import line_search_C
+
+    series = SortedSeries(values=np.zeros(200), source_length=200, zeros_removed=False)
+    m = SwitchTimes.equidistant(200, 2)
+    solve = {
+        "optimize_m": lambda: optimize_m(series, 2),
+        "solve_icls_fixed_m": lambda: solve_icls_fixed_m(series, m, 2),
+        "line_search_C": lambda: line_search_C(series, 2),
+    }[route]
+    with pytest.raises(DataError, match="total energy is zero"):
+        solve()
 
 
 def test_icls_beats_ecls_on_random_data():

@@ -1,5 +1,6 @@
-"""Source checks on the package itself: no imported name goes unused, and
-only the reader imports the ``csv`` module."""
+"""Source checks on the package itself: no imported name goes unused, no
+private top-level name goes unreferenced, and only the reader imports the
+``csv`` module."""
 
 from __future__ import annotations
 
@@ -61,6 +62,63 @@ def test_every_imported_name_is_used(path):
 def test_the_check_sees_an_unused_import():
     tree = ast.parse("import contextlib\nimport numpy as np\n\nx = np.zeros(1)\n")
     assert set(imported_names(tree)) - used_names(tree) == {"contextlib"}
+
+
+def private_top_level_names(tree: ast.Module) -> dict[str, int]:
+    """Each ``_``-prefixed (not dunder) name a module binds at top level,
+    with its line."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    names[target.id] = node.lineno
+    return {
+        name: line
+        for name, line in names.items()
+        if name.startswith("_") and not name.startswith("__")
+    }
+
+
+def referenced_names(tree: ast.Module) -> set[str]:
+    """Names read, attributes taken and names imported from a module."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+    return refs
+
+
+def test_every_private_top_level_name_is_referenced():
+    """A private helper, constant or class that nothing in the package reads
+    is left over from a refactor."""
+    trees = {
+        path.relative_to(PACKAGE): ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.rglob("*.py"))
+    }
+    refs = set().union(*map(referenced_names, trees.values()))
+    orphans = [
+        f"{path}:{line} {name}"
+        for path, tree in trees.items()
+        for name, line in private_top_level_names(tree).items()
+        if name not in refs
+    ]
+    assert not orphans, f"private names never referenced: {orphans}"
+
+
+def test_the_check_sees_an_orphaned_private_name():
+    tree = ast.parse(
+        "_LIMIT = 3\n\ndef _helper():\n    return _LIMIT\n\n"
+        "def _orphan():\n    pass\n\ndef public():\n    return _helper()\n"
+    )
+    assert set(private_top_level_names(tree)) - referenced_names(tree) == {"_orphan"}
 
 
 def test_only_the_reader_imports_csv():
