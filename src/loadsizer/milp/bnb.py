@@ -7,6 +7,11 @@ best schedule given sizes with best sizes given schedule) that supplies
 incumbents long before the bounds close. Among equal-mismatch incumbents
 the smaller total size wins, and the returned sizes are polished by a
 final minimum-total-size solve at fixed capture, so ties never oversize.
+
+Nodes meet the same schedules and sizings again and again, so one tree
+sizes each distinct schedule and dispatches each distinct sizing once:
+``branch_and_bound`` keeps a memo of both (``_Evaluator``) for as long as
+the call runs, and nothing carries over to the next call.
 """
 
 from __future__ import annotations
@@ -91,15 +96,50 @@ def _dispatch(instance: MilpInstance, x: np.ndarray) -> tuple[np.ndarray, float]
     return masks, float(draws.sum())
 
 
-def _repair(instance: MilpInstance, x_start: np.ndarray, rounds: int = 4):
-    """Alternate dispatch (best u given x) and sizing (best x given u)."""
+class _Evaluator:
+    """One tree's instance and its memo: each distinct schedule is sized
+    (``best_sizes_for_schedule``) and each distinct sizing dispatched
+    (``_dispatch``) once. Both are pure, so a repeat gets the first call's
+    arrays, made read-only. The memo lives as long as one
+    ``branch_and_bound`` call."""
+
+    def __init__(self, instance: MilpInstance) -> None:
+        self.instance = instance
+        self._sized: dict[bytes, tuple[np.ndarray, float]] = {}
+        self._dispatched: dict[bytes, tuple[np.ndarray, float]] = {}
+
+    def sizes(self, combo: np.ndarray) -> tuple[np.ndarray, float]:
+        """``best_sizes_for_schedule`` of the combo-index schedule."""
+        key = combo.tobytes()
+        if key not in self._sized:
+            x, capture = best_sizes_for_schedule(self.instance, combo)
+            x.flags.writeable = False
+            self._sized[key] = (x, capture)
+        return self._sized[key]
+
+    def dispatch(self, x: np.ndarray) -> tuple[np.ndarray, float]:
+        """``_dispatch`` of the sizes ``x``."""
+        key = np.asarray(x, dtype=float).tobytes()
+        if key not in self._dispatched:
+            combo, capture = _dispatch(self.instance, x)
+            combo.flags.writeable = False
+            self._dispatched[key] = (combo, capture)
+        return self._dispatched[key]
+
+
+def _repair(tree: _Evaluator, x_start: np.ndarray, rounds: int = 4):
+    """Alternate dispatch (best u given x) and sizing (best x given u).
+
+    Rounds that meet a schedule or sizing the tree has seen take its
+    evaluation from the tree's memo, so they cost no LP and no dispatch.
+    """
     x = np.asarray(x_start, dtype=float).copy()
     best = None
     for _ in range(rounds):
         if not (x > 1e-12).any():
             break
-        combo, _ = _dispatch(instance, x)
-        x_new, capture = best_sizes_for_schedule(instance, combo)
+        combo, _ = tree.dispatch(x)
+        x_new, capture = tree.sizes(combo)
         if best is None or capture > best[1] + _EQ_TOL:
             best = (x_new, capture)
         if np.abs(x_new - x).max() < 1e-12:
@@ -109,15 +149,15 @@ def _repair(instance: MilpInstance, x_start: np.ndarray, rounds: int = 4):
         return None
     # re-dispatch the polished sizes so the schedule is the best one for them
     x = best[0]
-    combo, capture = _dispatch(instance, x)
-    return x, combo, instance.total_power - capture
+    combo, capture = tree.dispatch(x)
+    return x, combo, tree.instance.total_power - capture
 
 
-def _coordinate_polish(instance: MilpInstance, x_start: np.ndarray) -> np.ndarray:
+def _coordinate_polish(tree: _Evaluator, x_start: np.ndarray) -> np.ndarray:
     """Deterministic coordinate search on the sizes, scored by dispatch."""
     x = np.asarray(x_start, dtype=float).copy()
-    best = _dispatch(instance, x)[1]
-    peak = float(instance.s.max())
+    best = tree.dispatch(x)[1]
+    peak = float(tree.instance.s.max())
     step = peak / 8.0
     while step > peak / 1024.0:
         improved = False
@@ -125,7 +165,7 @@ def _coordinate_polish(instance: MilpInstance, x_start: np.ndarray) -> np.ndarra
             for delta in (step, -step):
                 trial = x.copy()
                 trial[i] = min(max(trial[i] + delta, 0.0), peak)
-                cap = _dispatch(instance, trial)[1]
+                cap = tree.dispatch(trial)[1]
                 if cap > best + 1e-12:
                     x, best = trial, cap
                     improved = True
@@ -164,7 +204,7 @@ class _Incumbent:
             self.objective = float(objective)
             self.sum_x = float(x.sum())
             self.x = np.asarray(x, dtype=float).copy()
-            self.combo = combo
+            self.combo = np.array(combo, copy=True)
             return True
         return False
 
@@ -188,7 +228,7 @@ def _greedy_fill(instance: MilpInstance, x: np.ndarray, fixes) -> np.ndarray:
 
 
 def _branch_or_offer(
-    instance: MilpInstance, incumbent: _Incumbent, x: np.ndarray, fixes
+    tree: _Evaluator, incumbent: _Incumbent, x: np.ndarray, fixes
 ) -> tuple[int, int] | None:
     """The most fractional binary ``(i, t)`` of the greedy fill of the node's
     sizes ``x``; fixed binaries are 0 or 1 there, so never picked.
@@ -197,14 +237,14 @@ def _branch_or_offer(
     integral, the rounded fill is sized and offered to the incumbent, and
     None is returned.
     """
-    u = _greedy_fill(instance, x, fixes)
+    u = _greedy_fill(tree.instance, x, fixes)
     frac = np.minimum(u, 1.0 - u)
-    t_pick, i_pick = divmod(int(np.argmax(frac.T)), instance.n)
+    t_pick, i_pick = divmod(int(np.argmax(frac.T)), tree.instance.n)
     if frac[i_pick, t_pick] > 1e-9:
         return i_pick, t_pick
     combo = combo_index(np.rint(u))
-    x, capture = best_sizes_for_schedule(instance, combo)
-    incumbent.offer(x, combo, instance.total_power - capture)
+    x, capture = tree.sizes(combo)
+    incumbent.offer(x, combo, tree.instance.total_power - capture)
     return None
 
 
@@ -220,26 +260,27 @@ def branch_and_bound(
     incumbent)`` reaches ``gap_tol``, when the node limit is hit, or when
     the tree is exhausted (exact optimum).
     """
-    if gap_tol < 0:
+    if not gap_tol >= 0:  # NaN included
         raise DataError("gap_tol must be >= 0")
     if node_limit < 1:
         raise DataError("node_limit must be >= 1")
     n, T = instance.n, instance.horizon
+    tree = _Evaluator(instance)
     incumbent = _Incumbent()
 
     root = solve_lp_relaxation(instance)
     nodes_explored = 1
     for candidate in _root_candidates(instance, root.x):
-        repaired = _repair(instance, candidate)
+        repaired = _repair(tree, candidate)
         if repaired is not None:
             incumbent.offer(*repaired)
     if incumbent.x is not None:
-        polished = _repair(instance, _coordinate_polish(instance, incumbent.x), rounds=1)
+        polished = _repair(tree, _coordinate_polish(tree, incumbent.x), rounds=1)
         if polished is not None:
             incumbent.offer(*polished)
 
     counter = itertools.count()
-    root_pick = _branch_or_offer(instance, incumbent, root.x, {})
+    root_pick = _branch_or_offer(tree, incumbent, root.x, {})
     heap = [(root.objective_lb, next(counter), {}, root_pick)]
     status = "node_limit"
 
@@ -269,10 +310,10 @@ def branch_and_bound(
             child_fixes = {**fixes, pick: value}
             child = solve_lp_relaxation(instance, child_fixes)
             nodes_explored += 1
-            repaired = _repair(instance, child.x, rounds=2)
+            repaired = _repair(tree, child.x, rounds=2)
             if repaired is not None:
                 incumbent.offer(*repaired)
-            child_pick = _branch_or_offer(instance, incumbent, child.x, child_fixes)
+            child_pick = _branch_or_offer(tree, incumbent, child.x, child_fixes)
             if incumbent.x is None or child.objective_lb < incumbent.objective - _OBJ_TOL:
                 heapq.heappush(heap, (child.objective_lb, next(counter), child_fixes, child_pick))
     else:

@@ -36,7 +36,8 @@ class MilpInstance:
 
 
 def build_instance(values, n: int) -> MilpInstance:
-    """Validate the profile and the load count.
+    """Validate the profile and the load count, an integer >= 1 (a
+    NumPy integer is taken as its ``int``).
 
     The instance carries no big-M constant: with sizes capped at
     ``max(values)``, which some optimum always satisfies, every
@@ -47,6 +48,8 @@ def build_instance(values, n: int) -> MilpInstance:
         raise DataError("instance needs at least one sample")
     if not np.isfinite(s).all() or (s < 0).any():
         raise DataError("profile values must be finite and >= 0")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise DataError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise DataError("n must be >= 1")
-    return MilpInstance(s=s, n=n)
+    return MilpInstance(s=s, n=int(n))

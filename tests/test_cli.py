@@ -257,6 +257,20 @@ def test_compare_prints_milp_status_and_gap(runner, small_csv, tmp_path):
     assert re.fullmatch(r"icls n=2: SU=\d\.\d{4}", lines["icls n=2"])
 
 
+def test_compare_refuses_a_nan_gap(runner, small_csv, tmp_path):
+    result = runner.invoke(
+        main,
+        [
+            "compare", "--n-range", "2-2", str(small_csv), "--output-dir", str(tmp_path),
+            "--block-length", "4", "--ratio", "4", "--gap", "nan",
+        ],
+    )
+    assert result.exit_code == 3, result.output
+    assert "milp n=2: FAILED (gap_tol must be >= 0)" in result.output
+    rows = list(csv.DictReader(open(tmp_path / "comparison.csv")))
+    assert {r["method"] for r in rows} == {"ecls", "icls"}
+
+
 def test_compare_partial_failure_exit_3(runner, tmp_path):
     # 30 daytime points cannot feed the default 60-point ECLS design
     path = write_csv(tmp_path / "tiny.csv", np.concatenate([np.zeros(5), np.linspace(100, 900, 30)]))

@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from loadsizer.dispatch import combo_index, combo_states
+from loadsizer.dispatch import capture_best, combo_index, combo_states
 from loadsizer.errors import DataError
 from loadsizer.milp import (
+    bnb,
     branch_and_bound,
     build_instance,
     downsample_sweep,
@@ -26,6 +27,7 @@ from loadsizer.milp import (
 from loadsizer.milp.bnb import (
     _branch_or_offer,
     _dispatch,
+    _Evaluator,
     _greedy_fill,
     _Incumbent,
     best_sizes_for_schedule,
@@ -273,7 +275,7 @@ def test_greedy_fill_matches_step_loop_bit_for_bit():
         inst, x, fixes = random_fill_case(rng)
         expected = loop_fill(inst, x, fixes)
         assert np.array_equal(_greedy_fill(inst, x, fixes), expected)
-        pick = _branch_or_offer(inst, _Incumbent(), x, fixes)
+        pick = _branch_or_offer(_Evaluator(inst), _Incumbent(), x, fixes)
         assert pick == loop_pick(expected, fixes)
         picks += pick is not None
         integral += pick is None
@@ -408,6 +410,76 @@ def test_vertex_oracle_matches_schedule_enumeration():
         oracle_obj, oracle_capture = exhaustive_optimum(s, n)
         assert oracle_capture == pytest.approx(best, abs=1e-8)
         assert oracle_obj == pytest.approx(s.sum() - best, abs=1e-8)
+
+
+@pytest.mark.parametrize("gap_tol", [-1e-9, float("nan")], ids=["negative", "nan"])
+def test_bad_gap_tol_refused(gap_tol):
+    inst = build_instance(np.round(np.random.default_rng(1).uniform(0.05, 1.0, 6), 4), 2)
+    with pytest.raises(DataError, match="gap_tol must be >= 0"):
+        branch_and_bound(inst, gap_tol=gap_tol)
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, True], ids=["fraction", "float", "bool"])
+def test_build_instance_refuses_a_non_integer_n(n):
+    with pytest.raises(DataError, match="n must be an integer"):
+        build_instance([0.3, 0.6, 0.9], n)
+
+
+def test_build_instance_takes_a_numpy_integer_n():
+    inst = build_instance([0.3, 0.6, 0.9], np.int64(2))
+    assert inst.n == 2 and type(inst.n) is int
+    sol = branch_and_bound(inst, gap_tol=0.0)
+    assert sol.objective == pytest.approx(0.0, abs=1e-9)
+
+
+def test_a_tree_evaluates_each_schedule_and_sizing_once(monkeypatch):
+    """Within one call no schedule is sized twice and no sizing dispatched
+    twice; a second call repeats the first call's evaluations and answer,
+    so nothing carries over between calls."""
+    sized, dispatched = [], []
+
+    def sizes(instance, combo):
+        sized.append(combo.tobytes())
+        return best_sizes_for_schedule(instance, combo)
+
+    def capture(values, x):
+        dispatched.append(x.tobytes())
+        return capture_best(values, x)
+
+    monkeypatch.setattr(bnb, "best_sizes_for_schedule", sizes)
+    monkeypatch.setattr(bnb, "capture_best", capture)
+    inst = build_instance(np.round(np.random.default_rng(1).uniform(0.05, 1.0, 4), 4), 3)
+    calls, answers = [], []
+    for _ in range(2):
+        sized.clear()
+        dispatched.clear()
+        sol = branch_and_bound(inst, gap_tol=0.0)
+        assert len(set(sized)) == len(sized) > 100
+        assert len(set(dispatched)) == len(dispatched) > 100
+        calls.append((list(sized), list(dispatched)))
+        answers.append((sol.x.tobytes(), sol.combo_index.tobytes(), repr(sol.objective)))
+        assert sol.x.flags.writeable and sol.combo_index.flags.writeable
+    assert calls[0] == calls[1]
+    assert answers[0] == answers[1]
+
+
+@pytest.mark.parametrize(
+    "n, T, nodes, objective, x_hex",
+    [
+        (2, 6, 45, "0.4322999999999997", "b9af03e78c28e13f4703780b2428d63f"),
+        (2, 7, 129, "0.5706000000000002", "2141f163cc5ddf3f4703780b2428d63f"),
+        (3, 4, 363, "0.0016999999999995907", "b8af03e78c28e13fc876be9f1a2fcd3f560e2db29defc73f"),
+    ],
+)
+def test_deep_trees_keep_their_work_and_answer(n, T, nodes, objective, x_hex):
+    """The deep tree shapes of the benchmark's MILP batch: a change that
+    reorders the tree moves the node count or the bytes of the answer."""
+    s = np.round(np.random.default_rng(1).uniform(0.05, 1.0, T), 4)
+    sol = branch_and_bound(build_instance(s, n), gap_tol=0.0)
+    assert sol.status == "optimal"
+    assert sol.nodes_explored == nodes
+    assert repr(sol.objective) == objective
+    assert sol.x.tobytes().hex() == x_hex
 
 
 @pytest.mark.parametrize("zero_row", [0, 1, 2])

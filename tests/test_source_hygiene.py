@@ -1,6 +1,6 @@
 """Source checks on the package itself: no imported name goes unused, no
-private top-level name goes unreferenced, and only the reader imports the
-``csv`` module."""
+private top-level name goes unreferenced, only the reader imports the
+``csv`` module, and the MILP package keeps no state between calls."""
 
 from __future__ import annotations
 
@@ -130,3 +130,59 @@ def test_only_the_reader_imports_csv():
         if "csv" in imported_modules(ast.parse(path.read_text(encoding="utf-8")))
     }
     assert importers == {"timeseries.py"}
+
+
+MUTABLE_VALUES = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+MUTABLE_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter"}
+CACHE_DECORATORS = {"lru_cache", "cache"}
+
+
+def short_name(node: ast.AST | None) -> str | None:
+    """``f`` for the expressions ``f`` and ``mod.f``, else None."""
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def module_state(tree: ast.Module) -> list[str]:
+    """Module-level dicts, lists and sets (``__all__`` aside) and
+    ``functools`` cache decorators anywhere, each with its line."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+            value = node.value
+            called = value.func if isinstance(value, ast.Call) else None
+            mutable = isinstance(value, MUTABLE_VALUES) or short_name(called) in MUTABLE_CALLS
+            if mutable and names != ["__all__"]:
+                found.append(f"{node.lineno} {'/'.join(names) or 'assignment'}")
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            for deco in node.decorator_list:
+                target = deco.func if isinstance(deco, ast.Call) else deco
+                if short_name(target) in CACHE_DECORATORS:
+                    found.append(f"{deco.lineno} @{ast.unparse(target)} on {node.name}")
+    return found
+
+
+def test_milp_keeps_no_state_between_calls():
+    """Branch and bound's memo lives for one call: a module-level container
+    or a cache decorator would let a later solve do less work than the
+    first, so timings and work counts would depend on what ran before."""
+    held = {
+        str(path.relative_to(PACKAGE)): found
+        for path in sorted((PACKAGE / "milp").rglob("*.py"))
+        if (found := module_state(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert not held, f"module-level state in milp: {held}"
+
+
+def test_the_check_sees_module_state():
+    tree = ast.parse(
+        "import functools\nfrom functools import cache\n\n__all__ = ['f']\n_LIMIT = 3\n"
+        "_SEEN = {}\n_ORDER: list = []\n_KEYS = set()\n\n"
+        "@functools.lru_cache(maxsize=8)\ndef f(n):\n    return n\n\n"
+        "class C:\n    @cache\n    def g(self):\n        return 1\n"
+    )
+    assert module_state(tree) == [
+        "6 _SEEN", "7 _ORDER", "8 _KEYS", "10 @functools.lru_cache on f", "15 @cache on g",
+    ]
