@@ -28,6 +28,8 @@ from .errors import DataError, NumericError
 _EDGE_GUARD = 1e-6  # fraction of y_max kept away from the arcsin edge
 _ASCENT_MAX_ITER = 20000
 
+MAX_LOADS = 4  # the most loads the analytic route sizes
+
 
 @dataclass(frozen=True)
 class AnalyticSolution:
@@ -272,7 +274,8 @@ def solve_n_load(
     multistarts: int = 16,
     seed: int = 42,
 ) -> AnalyticSolution:
-    """Multistart projected gradient ascent over n unit sizes (n <= 4).
+    """Multistart projected gradient ascent over n unit sizes, n in
+    1..``MAX_LOADS`` (4); any other n raises ``DataError``.
 
     Starts include an equal split, the previous (n-1)-load optimum padded
     with a small extra unit (which keeps utilization non-decreasing in n),
@@ -283,8 +286,8 @@ def solve_n_load(
     so solving n = 2, 3, 4 in turn ascends each level once; the arch must
     therefore be hashable and is taken as immutable.
     """
-    if not 1 <= n <= 4:
-        raise DataError(f"n must be in 1..4, got {n}")
+    if not 1 <= n <= MAX_LOADS:
+        raise DataError(f"n must be in 1..{MAX_LOADS}, got {n}")
     if multistarts < 1:
         raise DataError("multistarts must be >= 1")
     sizes, n_starts = _n_load_sizes(model, n, multistarts, seed)

@@ -17,8 +17,9 @@ import click
 import numpy as np
 
 from . import __version__
-from .analytic import solve_n_load
+from .analytic import MAX_LOADS as ANALYTIC_MAX_LOADS, solve_n_load
 from .dispatch import (
+    NO_LOAD_SIZE,
     SwitchSchedule,
     combo_histogram,
     dispatch_greedy,
@@ -26,6 +27,7 @@ from .dispatch import (
     write_histogram_csv,
     write_schedule_csv,
 )
+from .ecls import DEFAULT_BLOCK_LENGTH, DEFAULT_C_STEPS
 from .ecls import line_search_C, sensitivity_table, write_sensitivity_csv
 from .errors import LoadSizerError, UsageError
 from .icls import optimize_m
@@ -130,8 +132,8 @@ def _run_method(
     t0 = time.perf_counter()
     diagnostics: dict = {}
     if method == "analytic":
-        if n > 4:
-            raise UsageError("the analytic route supports n <= 4")
+        if n > ANALYTIC_MAX_LOADS:
+            raise UsageError(f"the analytic route supports n <= {ANALYTIC_MAX_LOADS}")
         model = fit_clear_day(series)
         sol = solve_n_load(model, n, multistarts=p["multistarts"], seed=p["seed"])
         x = np.sort(np.asarray(sol.base_sizes))[::-1]
@@ -182,8 +184,7 @@ def _run_method(
     else:
         raise UsageError(f"unknown method {method!r}")
 
-    positive = np.asarray(x, dtype=float)
-    positive = positive[positive > 1e-12]
+    positive = x[x > NO_LOAD_SIZE]
     if positive.size == 0:
         raise LoadSizerError(f"{method} produced no positive load sizes")
     positive = as_load_sizing(positive)
@@ -203,8 +204,15 @@ def _run_method(
 
 
 _KNOB_OPTIONS = [
-    click.option("--c-steps", default=100, show_default=True, help="ECLS line-search grid size."),
-    click.option("--block-length", default=20, show_default=True, help="ECLS rows per combination."),
+    click.option(
+        "--c-steps", default=DEFAULT_C_STEPS, show_default=True, help="ECLS line-search grid size."
+    ),
+    click.option(
+        "--block-length",
+        default=DEFAULT_BLOCK_LENGTH,
+        show_default=True,
+        help="ECLS rows per combination.",
+    ),
     click.option("--restarts", default=4, show_default=True, help="ICLS search restarts."),
     click.option("--ratio", default=200, show_default=True, help="MILP downsampling ratio."),
     click.option("--gap", default=1e-6, show_default=True, help="MILP relative gap tolerance."),
@@ -294,7 +302,7 @@ def schedule(ctx, input_csv, sizes, **_):
     "--clear-day",
     default=None,
     type=click.Path(exists=True, dir_okay=False),
-    help="Clear-day CSV enabling the analytic route (n <= 4).",
+    help=f"Clear-day CSV enabling the analytic route (n <= {ANALYTIC_MAX_LOADS}).",
 )
 @method_knob_options
 @common_options
@@ -311,9 +319,8 @@ def compare(ctx, input_csv, n_range, clear_day, **_):
     rows: list[SizingResult] = []
     failures: list[str] = []
     for n in ns:
-        for method in ("ecls", "icls", "milp") + (("analytic",) if clear_series else ()):
-            if method == "analytic" and n > 4:
-                continue
+        analytic = clear_series is not None and n <= ANALYTIC_MAX_LOADS
+        for method in ("ecls", "icls", "milp") + (("analytic",) if analytic else ()):
             try:
                 result, _ = _run_method(
                     method, clear_series if method == "analytic" else series, n, p
@@ -410,8 +417,8 @@ def histogram(ctx, input_csv, sizes, bins, **_):
 @main.command()
 @click.argument("input_csv", type=click.Path(exists=True, dir_okay=False))
 @click.option("--n", "n_loads", default=3, show_default=True)
-@click.option("--steps", default=100, show_default=True, help="C grid resolution.")
-@click.option("--block-length", default=20, show_default=True)
+@click.option("--steps", default=DEFAULT_C_STEPS, show_default=True, help="C grid resolution.")
+@click.option("--block-length", default=DEFAULT_BLOCK_LENGTH, show_default=True)
 @common_options
 @click.pass_context
 def sensitivity(ctx, input_csv, n_loads, steps, block_length, **_):

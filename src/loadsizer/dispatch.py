@@ -23,6 +23,7 @@ from .timeseries import PowerSeries
 _MAX_LOADS = 20
 
 _FEAS_TOL = 1e-12
+NO_LOAD_SIZE = 1e-12  # a load sized at or below this is no load: dispatch keeps it off
 
 
 @dataclass(frozen=True)
@@ -151,8 +152,13 @@ def capture_best(values: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndar
     Values below the smallest draw get it too. Non-decreasing ``values``
     (the sorted series every solver scores on) are cut into runs per draw
     by locating the 2^n draws among them, not each value among the draws.
+
+    A size at or below ``NO_LOAD_SIZE`` is no load: it counts as zero, so
+    the tie rule (fewest loads on) never switches it on, and the draws are,
+    byte for byte, those of the sizes without it.
     """
-    sums, masks = subset_table(x)
+    x = np.asarray(x, dtype=float)
+    sums, masks = subset_table(np.where(x > NO_LOAD_SIZE, x, 0.0))
     values = np.asarray(values, dtype=float)
     if (values[:-1] <= values[1:]).all():  # False if any value is NaN
         # draw k covers the values from the first >= sums[k] up to the

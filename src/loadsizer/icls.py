@@ -208,10 +208,7 @@ class _FitContext:
         self.max_iter = 50 * (n + self.w.shape[0])
 
     def utilization(self, x: np.ndarray) -> float:
-        positive = x[x > 1e-12]
-        if positive.size == 0:
-            return 0.0
-        captured, _ = capture_best(self.values, positive)
+        captured, _ = capture_best(self.values, x)
         return float(captured.sum()) / self.total_power
 
     def fits(

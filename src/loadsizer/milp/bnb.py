@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..dispatch import capture_best, combo_index, combo_states
+from ..dispatch import NO_LOAD_SIZE, capture_best, combo_index, combo_states
 from ..errors import DataError, NumericError
 from .instance import MilpInstance
 from .relaxation import _fix_masks, solve_lp_relaxation
@@ -89,10 +89,9 @@ def best_sizes_for_schedule(instance: MilpInstance, combo: np.ndarray) -> tuple[
 
 
 def _dispatch(instance: MilpInstance, x: np.ndarray) -> tuple[np.ndarray, float]:
-    """Best schedule for sizes ``x``, as combo indices, and its capture. Sizes
-    ``<= 1e-12`` count as zero, and the tie rule (fewest loads on) keeps
-    such loads off."""
-    draws, masks = capture_best(instance.s, np.where(x > 1e-12, x, 0.0))
+    """Best schedule for sizes ``x``, as combo indices, and its capture;
+    ``capture_best`` keeps a size at or below ``NO_LOAD_SIZE`` off."""
+    draws, masks = capture_best(instance.s, x)
     return masks, float(draws.sum())
 
 
@@ -136,7 +135,7 @@ def _repair(tree: _Evaluator, x_start: np.ndarray, rounds: int = 4):
     x = np.asarray(x_start, dtype=float).copy()
     best = None
     for _ in range(rounds):
-        if not (x > 1e-12).any():
+        if not (x > NO_LOAD_SIZE).any():
             break
         combo, _ = tree.dispatch(x)
         x_new, capture = tree.sizes(combo)
@@ -221,7 +220,7 @@ def _greedy_fill(instance: MilpInstance, x: np.ndarray, fixes) -> np.ndarray:
     before = np.empty_like(draws)
     np.put_along_axis(before, order, left[:-1], axis=0)
     taken = np.clip(before, 0.0, x[:, None]) / np.maximum(x, 1e-300)[:, None]
-    u = np.where(x[:, None] > 1e-12, taken, 0.0)
+    u = np.where(x[:, None] > NO_LOAD_SIZE, taken, 0.0)
     u[fixed_on] = 1.0
     u[fixed_off] = 0.0
     return u

@@ -19,12 +19,30 @@ from ..errors import DataError
 
 @dataclass(frozen=True)
 class MilpInstance:
+    """A profile and its load count, checked on construction: at least one
+    sample, every value finite and >= 0, and an integer n >= 1 (a NumPy
+    integer is stored as its ``int``); anything else raises ``DataError``.
+
+    The instance carries no big-M constant: with sizes capped at
+    ``max(s)``, which some optimum always satisfies, every ``M >= max(s)``
+    gives the same relaxation and the same optimum.
+    """
+
     s: np.ndarray = field(repr=False)  # profile values, any order
     n: int
 
     def __post_init__(self) -> None:
         s = np.asarray(self.s, dtype=float).ravel()
+        if s.size < 1:
+            raise DataError("instance needs at least one sample")
+        if not np.isfinite(s).all() or (s < 0).any():
+            raise DataError("profile values must be finite and >= 0")
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
+            raise DataError(f"n must be an integer, got {self.n!r}")
+        if self.n < 1:
+            raise DataError("n must be >= 1")
         object.__setattr__(self, "s", s)
+        object.__setattr__(self, "n", int(self.n))
 
     @property
     def horizon(self) -> int:
@@ -35,21 +53,4 @@ class MilpInstance:
         return float(self.s.sum())
 
 
-def build_instance(values, n: int) -> MilpInstance:
-    """Validate the profile and the load count, an integer >= 1 (a
-    NumPy integer is taken as its ``int``).
-
-    The instance carries no big-M constant: with sizes capped at
-    ``max(values)``, which some optimum always satisfies, every
-    ``M >= max(values)`` gives the same relaxation and the same optimum.
-    """
-    s = np.asarray(values, dtype=float).ravel()
-    if s.size < 1:
-        raise DataError("instance needs at least one sample")
-    if not np.isfinite(s).all() or (s < 0).any():
-        raise DataError("profile values must be finite and >= 0")
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise DataError(f"n must be an integer, got {n!r}")
-    if n < 1:
-        raise DataError("n must be >= 1")
-    return MilpInstance(s=s, n=int(n))
+build_instance = MilpInstance  # its older name, which the CLI, perfbench and the README call

@@ -41,12 +41,10 @@ def downsample_sweep(
         instance = build_instance(reduced.values, n)
         solution = branch_and_bound(instance, gap_tol=1e-6, node_limit=node_limit)
         runtime = time.perf_counter() - t0
-        positive = solution.x[solution.x > 1e-12]
-        su = dispatch_su(sorted_series.values, positive) if positive.size else 0.0
         rows.append(
             SweepRow(
                 ratio=int(ratio),
-                solar_utilization=su,
+                solar_utilization=dispatch_su(sorted_series.values, solution.x),
                 runtime_seconds=runtime,
                 nodes_explored=solution.nodes_explored,
                 objective=solution.objective,

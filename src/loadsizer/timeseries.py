@@ -85,8 +85,6 @@ class SortedSeries:
     """Normalized power values rearranged in non-decreasing order."""
 
     values: np.ndarray = field(repr=False)
-    source_length: int
-    zeros_removed: bool
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=float)
@@ -94,8 +92,6 @@ class SortedSeries:
             raise DataError("sorted values must be a non-empty 1-D array")
         if (np.diff(v) < 0).any():
             raise DataError("values must be non-decreasing")
-        if self.zeros_removed and (v <= 0).any():
-            raise DataError("zeros_removed set but zero values present")
         object.__setattr__(self, "values", v)
 
     def __len__(self) -> int:
@@ -256,7 +252,7 @@ def sort_ascending(series: PowerSeries, remove_zeros: bool = True) -> SortedSeri
     """Rearrange the normalized series in non-decreasing order.
 
     ``remove_zeros`` drops zero entries (required by the least-squares
-    sizers); the original length is retained as metadata.
+    sizers).
     """
     if not series.normalized:
         raise DataError("sort_ascending expects a normalized series")
@@ -265,7 +261,7 @@ def sort_ascending(series: PowerSeries, remove_zeros: bool = True) -> SortedSeri
         values = values[values > 0]
         if values.size == 0:
             raise DataError("all values are zero after zero removal")
-    return SortedSeries(values=values, source_length=len(series), zeros_removed=remove_zeros)
+    return SortedSeries(values=values)
 
 
 def downsample_uniform(sorted_series: SortedSeries, ratio: int) -> SortedSeries:
@@ -276,12 +272,7 @@ def downsample_uniform(sorted_series: SortedSeries, ratio: int) -> SortedSeries:
         raise DataError("ratio must be >= 1")
     if r > len(sorted_series):
         raise DataError(f"ratio {r} exceeds series length {len(sorted_series)}")
-    values = sorted_series.values[r - 1 :: r]
-    return SortedSeries(
-        values=values,
-        source_length=sorted_series.source_length,
-        zeros_removed=sorted_series.zeros_removed,
-    )
+    return SortedSeries(values=sorted_series.values[r - 1 :: r])
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +282,7 @@ def downsample_uniform(sorted_series: SortedSeries, ratio: int) -> SortedSeries:
 
 @dataclass(frozen=True)
 class ClearSkyModel:
-    """Symmetric clear-day fit: trigonometric arch plus a quadratic backup.
+    """Symmetric clear-day fit: a trigonometric arch; ``p1..p3`` report a quadratic fit.
 
     The forward map is ``S(t) = a*sin(b*t + c)`` with ``t`` in sample units
     on a time axis shifted so the peak sits at t = 0. The inverse returns
@@ -347,10 +338,6 @@ class ClearSkyModel:
             raise DataError(f"level outside [0, {self.y_max}): {y}")
         out = -self.alpha * self.beta / np.sqrt(1.0 - (self.beta * y) ** 2)
         return float(out) if out.ndim == 0 else out
-
-    def quadratic(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.p1 * t * t + self.p2 * t + self.p3
 
     def to_json(self) -> str:
         keys = {
@@ -421,8 +408,8 @@ def fit_clear_day(series: PowerSeries) -> ClearSkyModel:
     The time axis is shifted so the fitted peak sits at t = 0, then a
     trigonometric arch ``a*sin(b*t + c)`` is fitted by variable projection
     (golden-section search over the rate b, linear solve for the sinusoid
-    coefficients). A quadratic fit on the same shifted axis is kept as the
-    backup model.
+    coefficients). A quadratic fit on the same shifted axis is reported as
+    ``p1..p3``.
     """
     v_all = np.asarray(series.values, dtype=float)
     scale = float(v_all.max())

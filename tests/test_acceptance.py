@@ -242,7 +242,7 @@ def test_criterion_05_icls_oracle_equivalence():
         for case in range(200):
             T = int(rng.integers(7, 31))
             values = np.sort(rng.uniform(0.01, 1.0, size=T))
-            series = SortedSeries(values=values, source_length=T, zeros_removed=True)
+            series = SortedSeries(values=values)
             found = optimize_m(series, 2, restarts=8, seed=case)
             assert _icls_kkt_ok(values, found, 2)
             best_su = -1.0

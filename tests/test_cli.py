@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 import re
 import subprocess
@@ -13,9 +14,13 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from loadsizer.analytic import solve_n_load
 from loadsizer.cli import main, read_config
-from loadsizer.dispatch import dispatch_greedy, utilization
+from loadsizer.dispatch import combo_histogram, dispatch_greedy, utilization
+from loadsizer.ecls import line_search_C, sensitivity_table
 from loadsizer.errors import UsageError
+from loadsizer.icls import optimize_m
+from loadsizer.milp import branch_and_bound
 from loadsizer.timeseries import load_series, normalize
 
 
@@ -226,6 +231,49 @@ def test_compare_small(runner, small_csv, tmp_path):
     assert set(by_method) == {"ecls", "icls", "milp"}
 
 
+# ``compare``'s files on ``small_csv`` with the clear day, byte for byte:
+# a refactor that is meant to change no answer must leave them as they are
+PINNED_COMPARISON = """\
+n,method,x1,x2,x3,sum_x,SU
+2,analytic,0.5865907355724006,0.28156120623932557,,0.868151941812,0.795285327148
+2,ecls,0.5987417414393905,0.20428856159091235,,0.80303030303,0.788516006938
+2,icls,0.5779267662849638,0.23920500644169795,,0.817131772727,0.808667127579
+2,milp,0.5795177854608861,0.23761398726577562,,0.817131772727,0.808622513929
+3,analytic,0.5466991394607048,0.26850760075689617,0.13028244379935902,0.945489184017,0.90129091472
+3,ecls,0.5580159748100816,0.25903643972244966,0.1172910198109032,0.934343434343,0.903153401131
+3,icls,0.5786294519663837,0.24125755054741793,0.14018704557409167,0.960074048088,0.912993710023
+3,milp,0.5327787243139732,0.2843530484126886,0.1441660028385969,0.961297775565,0.888992357809
+"""
+PINNED_NORMALIZED = """\
+n,method,SU,normalized_SU
+2,analytic,0.795285327148,1.00858488623
+2,ecls,0.788516006938,1
+2,icls,0.808667127579,1.02555575342
+2,milp,0.808622513929,1.02549917416
+3,analytic,0.90129091472,0.997937796161
+3,ecls,0.903153401131,1
+3,icls,0.912993710023,1.01089550112
+3,milp,0.888992357809,0.984320445116
+"""
+
+
+def test_compare_files_keep_their_bytes(runner, small_csv, clear_day_csv, tmp_path):
+    result = runner.invoke(
+        main,
+        [
+            "compare", "--n-range", "2-3", "--clear-day", str(clear_day_csv), str(small_csv),
+            "--output-dir", str(tmp_path), "--block-length", "4", "--ratio", "4",
+            "--node-limit", "40",
+        ],
+    )
+    assert result.exit_code == 0, result.output
+    for name, pinned in [
+        ("comparison.csv", PINNED_COMPARISON), ("normalized_su.csv", PINNED_NORMALIZED)
+    ]:
+        # the writers end rows in \r\n, as csv.writer does
+        assert (tmp_path / name).read_bytes() == pinned.replace("\n", "\r\n").encode(), name
+
+
 def test_compare_sizes_redispatch_to_their_su(runner, year_csv, tmp_path):
     result = runner.invoke(
         main, ["compare", "--n-range", "2-2", str(year_csv), "--output-dir", str(tmp_path)]
@@ -285,6 +333,23 @@ def test_compare_partial_failure_exit_3(runner, tmp_path):
     assert (tmp_path / "comparison.csv").exists()
     rows = list(csv.DictReader(open(tmp_path / "comparison.csv")))
     assert {r["method"] for r in rows} == {"icls", "milp"}
+
+
+def test_compare_skips_the_analytic_route_above_its_load_range(
+    runner, small_csv, clear_day_csv, tmp_path
+):
+    result = runner.invoke(
+        main,
+        [
+            "compare", "--n-range", "4-5", "--clear-day", str(clear_day_csv), str(small_csv),
+            "--output-dir", str(tmp_path), "--block-length", "3", "--ratio", "4",
+            "--node-limit", "20",
+        ],
+    )
+    assert result.exit_code == 0, result.output
+    rows = list(csv.DictReader(open(tmp_path / "comparison.csv")))
+    assert [r["n"] for r in rows if r["method"] == "analytic"] == ["4"]
+    assert {r["n"] for r in rows} == {"4", "5"}
 
 
 def test_config_defaults_and_flag_precedence(runner, small_csv, tmp_path):
@@ -462,6 +527,17 @@ def test_size_milp_refuses_more_than_twenty_loads(small_csv, tmp_path):
     assert "Traceback" not in run.stderr
 
 
+def test_size_analytic_refuses_more_loads_than_it_sizes(clear_day_csv, tmp_path):
+    run = subprocess.run(
+        [sys.executable, "-m", "loadsizer.cli", "size", "--method", "analytic", "--n", "5",
+         "--output-dir", str(tmp_path), str(clear_day_csv)],
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 2, run.stderr
+    assert "usage error: the analytic route supports n <= 4" in run.stderr
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -500,3 +576,36 @@ def test_denormalize_reports_watts(runner, tmp_path):
     assert payload["diagnostics"]["x_watts"][0] == pytest.approx(
         payload["x"][0] * 900.0, rel=1e-12
     )
+
+
+# (command, option, library function, the parameter the option feeds)
+OPTION_DEFAULTS = [
+    (command, option, fn, parameter)
+    for commands, option, fn, parameter in [
+        (("size", "compare"), "c_steps", line_search_C, "c_steps"),
+        (("size", "compare"), "block_length", line_search_C, "block_length"),
+        (("sensitivity",), "steps", sensitivity_table, "c_steps"),
+        (("sensitivity",), "block_length", sensitivity_table, "block_length"),
+        (("size", "compare"), "restarts", optimize_m, "restarts"),
+        (("size", "compare"), "seed", optimize_m, "seed"),
+        (("size", "compare"), "multistarts", solve_n_load, "multistarts"),
+        (("size", "compare"), "seed", solve_n_load, "seed"),
+        (("size", "compare"), "gap", branch_and_bound, "gap_tol"),
+        (("histogram",), "bins", combo_histogram, "bins_per_day"),
+    ]
+    for command in commands
+]
+
+
+@pytest.mark.parametrize(
+    "command, option, fn, parameter",
+    OPTION_DEFAULTS,
+    ids=[f"{c}-{o}-{fn.__name__}" for c, o, fn, _ in OPTION_DEFAULTS],
+)
+def test_option_default_is_the_library_default(command, option, fn, parameter):
+    """Each option's default is the default of the parameter it feeds.
+    ``--node-limit`` is left out on purpose: its 200 is the node budget for
+    the downsampled year and differs from ``branch_and_bound``'s exact
+    default of 100 000."""
+    options = {param.name: param.default for param in main.commands[command].params}
+    assert options[option] == inspect.signature(fn).parameters[parameter].default

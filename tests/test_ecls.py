@@ -22,12 +22,8 @@ from loadsizer.errors import DataError
 from loadsizer.timeseries import SortedSeries
 
 
-def sorted_series(values, zeros_removed=True):
-    return SortedSeries(
-        values=np.asarray(values, dtype=float),
-        source_length=len(values),
-        zeros_removed=zeros_removed,
-    )
+def sorted_series(values):
+    return SortedSeries(values=np.asarray(values, dtype=float))
 
 
 # ---------------------------------------------------------------------------

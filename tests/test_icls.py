@@ -28,11 +28,7 @@ from loadsizer.timeseries import SortedSeries
 
 
 def sorted_series(values):
-    return SortedSeries(
-        values=np.asarray(values, dtype=float),
-        source_length=len(values),
-        zeros_removed=True,
-    )
+    return SortedSeries(values=np.asarray(values, dtype=float))
 
 
 def kkt_check(series, result, n, tol=1e-8):
@@ -640,7 +636,7 @@ def test_optimize_m_refuses_negative_restarts():
 def test_all_zero_series_is_refused_by_both_least_squares_routes(route):
     from loadsizer.ecls import line_search_C
 
-    series = SortedSeries(values=np.zeros(200), source_length=200, zeros_removed=False)
+    series = SortedSeries(values=np.zeros(200))
     m = SwitchTimes.equidistant(200, 2)
     solve = {
         "optimize_m": lambda: optimize_m(series, 2),

@@ -18,6 +18,7 @@ from scipy.optimize import linprog
 from loadsizer.dispatch import capture_best, combo_index, combo_states
 from loadsizer.errors import DataError
 from loadsizer.milp import (
+    MilpInstance,
     bnb,
     branch_and_bound,
     build_instance,
@@ -425,6 +426,29 @@ def test_build_instance_refuses_a_non_integer_n(n):
         build_instance([0.3, 0.6, 0.9], n)
 
 
+@pytest.mark.parametrize(
+    "s, n, message",
+    [
+        ([0.3, 0.6, 0.9], 2.5, "n must be an integer"),
+        ([0.3, 0.6, 0.9], True, "n must be an integer"),
+        ([0.3, -0.6, 0.9], 1, "finite and >= 0"),
+        ([0.3, np.nan, 0.9], 1, "finite and >= 0"),
+        ([], 1, "at least one sample"),
+    ],
+    ids=["fraction", "bool", "negative", "nan", "empty"],
+)
+def test_milp_instance_refuses_a_bad_instance(s, n, message):
+    """The instance checks itself, so one built directly never reaches
+    branch and bound."""
+    with pytest.raises(DataError, match=message):
+        MilpInstance(s=s, n=n)
+
+
+def test_milp_instance_stores_a_numpy_integer_n_as_int():
+    inst = MilpInstance(s=[0.3, 0.6, 0.9], n=np.int64(2))
+    assert inst.n == 2 and type(inst.n) is int
+
+
 def test_build_instance_takes_a_numpy_integer_n():
     inst = build_instance([0.3, 0.6, 0.9], np.int64(2))
     assert inst.n == 2 and type(inst.n) is int
@@ -502,6 +526,22 @@ def test_dispatch_keeps_zero_size_load_off(zero_row):
     assert np.array_equal(tiny_u, u) and tiny_capture == capture
 
 
+@pytest.mark.parametrize("no_load", [0.0, 1e-13], ids=["zero", "tiny"])
+@pytest.mark.parametrize("zero_row", [0, 1, 2])
+def test_capture_best_keeps_a_no_load_size_off(zero_row, no_load):
+    """A size at or below ``NO_LOAD_SIZE`` gives the draws of the sizes
+    without it, byte for byte, and is never switched on."""
+    rng = np.random.default_rng(3 + zero_row)
+    positive = np.array([0.41, 0.23])
+    x = np.insert(positive, zero_row, [no_load])
+    unsorted = rng.uniform(0.0, 1.0, size=60)
+    for values in (np.sort(unsorted), unsorted):
+        draws, masks = capture_best(values, x)
+        alone, _ = capture_best(values, positive)
+        assert draws.tobytes() == alone.tobytes()
+        assert not combo_states(masks, 3)[zero_row].any()
+
+
 def test_dispatch_all_zero_sizes_is_all_off():
     inst = build_instance([0.2, 0.5, 0.9], 2)
     combo, capture = _dispatch(inst, np.zeros(2))
@@ -512,7 +552,7 @@ def test_dispatch_all_zero_sizes_is_all_off():
 def test_downsample_sweep_rows():
     rng = np.random.default_rng(17)
     values = np.sort(rng.uniform(0.01, 1.0, size=400))
-    series = SortedSeries(values=values, source_length=400, zeros_removed=True)
+    series = SortedSeries(values=values)
     rows = downsample_sweep(series, 2, ratios=[4, 8], node_limit=30)
     assert [r.ratio for r in rows] == [4, 8]
     assert all(0 <= r.solar_utilization <= 1 for r in rows)

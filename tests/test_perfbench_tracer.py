@@ -31,7 +31,7 @@ def test_tracer_installs_and_restores_every_binding():
     original = ecls.capture_best
     # seed 0 rejects 3 of the 20 C values at n = 3
     values = np.sort(np.random.default_rng(0).uniform(0.01, 1.0, size=300) ** 2)
-    series = SortedSeries(values=values, source_length=300, zeros_removed=True)
+    series = SortedSeries(values=values)
     t = tracer.Tracer()
     with t.installed():
         assert ecls.capture_best is not original
@@ -70,7 +70,7 @@ def test_tracer_counts_every_icls_score():
     bindings = every_binding(tracer)
     # n = 2 over 150 samples is past the exhaustive lattice: a pattern search
     values = np.sort(np.random.default_rng(3).uniform(0.01, 1.0, size=150) ** 1.5)
-    series = SortedSeries(values=values, source_length=150, zeros_removed=True)
+    series = SortedSeries(values=values)
     t = tracer.Tracer()
     with t.installed():
         result = icls.optimize_m(series, 2)
