@@ -32,6 +32,7 @@ from .ecls import line_search_C, sensitivity_table, write_sensitivity_csv
 from .errors import LoadSizerError, UsageError
 from .icls import optimize_m
 from .milp import branch_and_bound, build_instance
+from .milp.sweep import DOWNSAMPLED_NODE_LIMIT
 from .results import SizingResult, as_load_sizing, format_float, write_csv_columns
 from .timeseries import (
     PowerSeries,
@@ -216,7 +217,9 @@ _KNOB_OPTIONS = [
     click.option("--restarts", default=4, show_default=True, help="ICLS search restarts."),
     click.option("--ratio", default=200, show_default=True, help="MILP downsampling ratio."),
     click.option("--gap", default=1e-6, show_default=True, help="MILP relative gap tolerance."),
-    click.option("--node-limit", default=200, show_default=True, help="MILP node budget."),
+    click.option(
+        "--node-limit", default=DOWNSAMPLED_NODE_LIMIT, show_default=True, help="MILP node budget."
+    ),
     click.option("--multistarts", default=16, show_default=True, help="Analytic multistarts."),
 ]
 

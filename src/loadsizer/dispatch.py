@@ -194,12 +194,19 @@ def _matching_sizes(series: PowerSeries, schedule: SwitchSchedule, x=None) -> np
     return x
 
 
-def utilization(series: PowerSeries, schedule: SwitchSchedule, x) -> UtilizationReport:
-    """Captured over total energy plus the per-step mismatch vector."""
-    x = _matching_sizes(series, schedule, x)
-    total = float(series.values.sum())
+def available_energy(values: np.ndarray) -> float:
+    """The sum of a profile: every route's SU divides by it. A profile
+    with no energy is refused."""
+    total = float(values.sum())
     if total <= 0:
         raise DataError("total energy is zero")
+    return total
+
+
+def utilization(series: PowerSeries, schedule: SwitchSchedule, x) -> UtilizationReport:
+    """Captured over `available_energy` plus the per-step mismatch vector."""
+    x = _matching_sizes(series, schedule, x)
+    total = available_energy(series.values)
     draw = x @ schedule.u
     mismatch = series.values - draw
     if (mismatch < -_FEAS_TOL).any():

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dispatch import capture_best, combo_index, nonzero_combo_rows
+from .dispatch import available_energy, capture_best, combo_index, nonzero_combo_rows
 from .errors import DataError, NumericError
 from .results import format_floats, write_csv_columns
 from .timeseries import SortedSeries
@@ -27,6 +27,7 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_BLOCK_LENGTH = 20
 DEFAULT_C_STEPS = 100
+MAX_LOADS = 12  # the most loads the least-squares routes size
 
 
 def binary_order(u) -> int:
@@ -56,8 +57,10 @@ class SwitchMatrix:
 
 
 def build_switch_matrix(n: int, block_length: int = DEFAULT_BLOCK_LENGTH) -> SwitchMatrix:
-    if not 1 <= n <= 12:
-        raise DataError(f"n must be in 1..12, got {n}")
+    """The switch matrix of ``n`` loads; ECLS and ICLS both size
+    1..``MAX_LOADS`` (12) loads, and any other n raises ``DataError``."""
+    if not 1 <= n <= MAX_LOADS:
+        raise DataError(f"n must be in 1..{MAX_LOADS}, got {n}")
     if block_length < 1:
         raise DataError("block_length must be >= 1")
     return SwitchMatrix(n=n, block_length=block_length, distinct_rows=nonzero_combo_rows(n))
@@ -158,10 +161,9 @@ def solve_ecls(points, matrix: SwitchMatrix, C: float) -> EclsResult:
 
 
 def dispatch_su(values: np.ndarray, x: np.ndarray) -> float:
-    """Utilization of sizes ``x`` dispatched over ``values`` (order-free)."""
-    total = float(values.sum())
-    if total <= 0:
-        raise DataError("total energy is zero")
+    """Utilization of sizes ``x`` dispatched over ``values`` (order-free),
+    over `available_energy`'s total."""
+    total = available_energy(values)
     captured, _ = capture_best(values, x)
     return float(captured.sum()) / total
 

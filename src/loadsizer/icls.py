@@ -27,8 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dispatch import capture_best, nonzero_combo_rows
-from .ecls import solve_kkt
+from .dispatch import available_energy, capture_best, nonzero_combo_rows
+from .ecls import build_switch_matrix, solve_kkt
 from .errors import DataError, NumericError
 from .timeseries import SortedSeries
 
@@ -191,18 +191,16 @@ class _Fit(NamedTuple):
 
 
 class _FitContext:
-    """Shared per-series geometry so an outer m search can solve cheaply."""
+    """Shared per-series geometry so an outer m search can solve cheaply.
+    Its block rows and load range are ECLS's switch matrix's; its SU
+    divides by `available_energy`."""
 
     def __init__(self, values: np.ndarray, n: int):
-        if not 1 <= n <= 12:
-            raise DataError(f"n must be in 1..12, got {n}")
         self.values = values
         self.n = n
-        self.w = nonzero_combo_rows(n) @ upper_ones(n)
+        self.w = build_switch_matrix(n, 1).distinct_rows @ upper_ones(n)
         self.prefix = np.concatenate([[0.0], np.cumsum(values)])
-        self.total_power = float(values.sum())
-        if self.total_power <= 0:
-            raise DataError("total energy is zero")
+        self.total_power = available_energy(values)
         # constraint rows: x_bar >= 0, then one cap per block
         self.C = np.vstack([-np.eye(n), self.w])
         self.max_iter = 50 * (n + self.w.shape[0])

@@ -12,6 +12,8 @@ from ..timeseries import SortedSeries, downsample_uniform
 from .bnb import branch_and_bound
 from .instance import build_instance
 
+DOWNSAMPLED_NODE_LIMIT = 200  # the node budget of a downsampled year's tree
+
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -27,19 +29,20 @@ def downsample_sweep(
     sorted_series: SortedSeries,
     n: int,
     ratios,
-    node_limit: int = 200,
+    node_limit: int = DOWNSAMPLED_NODE_LIMIT,
 ) -> list[SweepRow]:
-    """Build and solve one instance per downsampling ratio.
+    """Build and solve one instance per downsampling ratio, each tree
+    within ``node_limit`` nodes (also the CLI's ``--node-limit`` default).
 
     Utilization is always computed by dispatching the resulting sizes over
-    the full-resolution series, so rows are comparable across ratios.
+    the full-resolution series (`dispatch_su`), so rows compare across ratios.
     """
     rows = []
     for ratio in ratios:
         reduced = downsample_uniform(sorted_series, int(ratio))
         t0 = time.perf_counter()
         instance = build_instance(reduced.values, n)
-        solution = branch_and_bound(instance, gap_tol=1e-6, node_limit=node_limit)
+        solution = branch_and_bound(instance, node_limit=node_limit)
         runtime = time.perf_counter() - t0
         rows.append(
             SweepRow(

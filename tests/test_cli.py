@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import inspect
 import json
 import re
@@ -20,7 +21,7 @@ from loadsizer.dispatch import combo_histogram, dispatch_greedy, utilization
 from loadsizer.ecls import line_search_C, sensitivity_table
 from loadsizer.errors import UsageError
 from loadsizer.icls import optimize_m
-from loadsizer.milp import branch_and_bound
+from loadsizer.milp import branch_and_bound, downsample_sweep
 from loadsizer.timeseries import load_series, normalize
 
 
@@ -272,6 +273,137 @@ def test_compare_files_keep_their_bytes(runner, small_csv, clear_day_csv, tmp_pa
     ]:
         # the writers end rows in \r\n, as csv.writer does
         assert (tmp_path / name).read_bytes() == pinned.replace("\n", "\r\n").encode(), name
+
+
+# ``size``'s result JSON (without ``runtime_seconds``) and the sha256 of its
+# schedule CSV for each route at n = 2, the analytic route on the clear day
+PINNED_SIZE = {
+    "analytic": (
+        """\
+{
+  "diagnostics": {
+    "analytic_solar_utilization": 0.7960710186876574,
+    "levels": [
+      0.28156120623932557,
+      0.5865907355724006,
+      0.8681519418117262
+    ],
+    "model": {
+      "a": 1.0000007244166011,
+      "b": 0.006951999999988015,
+      "c": 1.5707963267948966
+    },
+    "switch_times": [
+      184.89294980856883,
+      135.78165046912645,
+      74.70241254097675
+    ]
+  },
+  "method": "analytic",
+  "n": 2,
+  "objective": 229.01879258387723,
+  "solar_utilization": 0.7952853271479966,
+  "x": [
+    0.5865907355724006,
+    0.28156120623932557
+  ]
+}
+""",
+        "0767b945e36147f56d41263888a0e6b14f369492e0a879187a382069f57ce73f",
+    ),
+    "ecls": (
+        """\
+{
+  "diagnostics": {
+    "C": 0.803030303030303,
+    "lambda": 1.049069660416611,
+    "residual_norm": 0.5388004231631558
+  },
+  "method": "ecls",
+  "n": 2,
+  "objective": 0.5388004231631558,
+  "solar_utilization": 0.7885160069377856,
+  "x": [
+    0.5987417414393905,
+    0.20428856159091235
+  ]
+}
+""",
+        "b16324fa5ebad005d2f12de19d71e439bb303b852863c6c8275913dc494de96b",
+    ),
+    "icls": (
+        """\
+{
+  "diagnostics": {
+    "active_set_iterations": 316,
+    "m": [
+      30,
+      28,
+      42
+    ],
+    "offset": 14,
+    "qp_solves": 194,
+    "residual_norm": 1.4352222226628943,
+    "restarts_used": 5,
+    "warm_start_hits": 166,
+    "x_bar": [
+      0.3387217598432658,
+      0.23920500644169795
+    ]
+  },
+  "method": "icls",
+  "n": 2,
+  "objective": 1.4352222226628943,
+  "solar_utilization": 0.8086671275791388,
+  "x": [
+    0.5779267662849638,
+    0.23920500644169795
+  ]
+}
+""",
+        "f8253177f862e8961adfc0e84032e6abd25ebdb77bf05c527d306447027c0622",
+    ),
+    "milp": (
+        """\
+{
+  "diagnostics": {
+    "downsampled_length": 72,
+    "gap": 1.0,
+    "nodes_explored": 41,
+    "ratio": 4,
+    "status": "node_limit"
+  },
+  "method": "milp",
+  "n": 2,
+  "objective": 3.3544299845321177,
+  "solar_utilization": 0.8086225139285649,
+  "x": [
+    0.5795177854608861,
+    0.23761398726577562
+  ]
+}
+""",
+        "287e98d828f7f4cedafdf31794ea7faaa024e694c268d69c0b3931ea2025a459",
+    ),
+}
+
+
+@pytest.mark.parametrize("method", sorted(PINNED_SIZE))
+def test_size_files_keep_their_bytes(runner, small_csv, clear_day_csv, tmp_path, method):
+    data = clear_day_csv if method == "analytic" else small_csv
+    result = runner.invoke(
+        main,
+        [
+            "size", "--method", method, "--n", "2", str(data), "--output-dir", str(tmp_path),
+            "--block-length", "4", "--ratio", "4", "--node-limit", "40",
+        ],
+    )
+    assert result.exit_code == 0, result.output
+    text = (tmp_path / f"result_{method}_n2.json").read_text(encoding="utf-8")
+    pinned_json, pinned_sha = PINNED_SIZE[method]
+    assert re.sub(r'\n  "runtime_seconds": [^\n]*', "", text) == pinned_json
+    schedule = (tmp_path / f"schedule_{method}_n2.csv").read_bytes()
+    assert hashlib.sha256(schedule).hexdigest() == pinned_sha
 
 
 def test_compare_sizes_redispatch_to_their_su(runner, year_csv, tmp_path):
@@ -591,6 +723,7 @@ OPTION_DEFAULTS = [
         (("size", "compare"), "multistarts", solve_n_load, "multistarts"),
         (("size", "compare"), "seed", solve_n_load, "seed"),
         (("size", "compare"), "gap", branch_and_bound, "gap_tol"),
+        (("size", "compare"), "node_limit", downsample_sweep, "node_limit"),
         (("histogram",), "bins", combo_histogram, "bins_per_day"),
     ]
     for command in commands
@@ -603,9 +736,6 @@ OPTION_DEFAULTS = [
     ids=[f"{c}-{o}-{fn.__name__}" for c, o, fn, _ in OPTION_DEFAULTS],
 )
 def test_option_default_is_the_library_default(command, option, fn, parameter):
-    """Each option's default is the default of the parameter it feeds.
-    ``--node-limit`` is left out on purpose: its 200 is the node budget for
-    the downsampled year and differs from ``branch_and_bound``'s exact
-    default of 100 000."""
+    """Each option's default is the default of the parameter it feeds."""
     options = {param.name: param.default for param in main.commands[command].params}
     assert options[option] == inspect.signature(fn).parameters[parameter].default

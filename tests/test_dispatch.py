@@ -254,7 +254,7 @@ def test_utilization_zero_total_is_error():
         normalized=False,
     )
     sched = dispatch_greedy(make_series([0.5, 0.5]), [0.4])
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="^total energy is zero$"):
         utilization(series, sched, [0.4])
 
 

@@ -49,6 +49,7 @@ def test_build_switch_matrix_shapes():
     assert m2.dense().tolist() == [[0, 1], [1, 0], [1, 1]]
     m3 = build_switch_matrix(3, block_length=20)
     assert m3.dense().shape == (140, 3)
+    assert build_switch_matrix(12, block_length=1).distinct_rows.shape == (4095, 12)
 
 
 def test_switch_matrix_blocks_strictly_increase():

@@ -632,9 +632,11 @@ def test_optimize_m_refuses_negative_restarts():
         optimize_m(series, 2, restarts=-3)
 
 
-@pytest.mark.parametrize("route", ["optimize_m", "solve_icls_fixed_m", "line_search_C"])
+@pytest.mark.parametrize(
+    "route", ["optimize_m", "solve_icls_fixed_m", "line_search_C", "dispatch_su"]
+)
 def test_all_zero_series_is_refused_by_both_least_squares_routes(route):
-    from loadsizer.ecls import line_search_C
+    from loadsizer.ecls import dispatch_su, line_search_C
 
     series = SortedSeries(values=np.zeros(200))
     m = SwitchTimes.equidistant(200, 2)
@@ -642,8 +644,28 @@ def test_all_zero_series_is_refused_by_both_least_squares_routes(route):
         "optimize_m": lambda: optimize_m(series, 2),
         "solve_icls_fixed_m": lambda: solve_icls_fixed_m(series, m, 2),
         "line_search_C": lambda: line_search_C(series, 2),
+        "dispatch_su": lambda: dispatch_su(series.values, np.array([0.4, 0.2])),
     }[route]
     with pytest.raises(DataError, match="total energy is zero"):
+        solve()
+
+
+@pytest.mark.parametrize("n", [0, 13])
+@pytest.mark.parametrize(
+    "route", ["build_switch_matrix", "optimize_m", "solve_icls_fixed_m", "line_search_C"]
+)
+def test_both_least_squares_routes_refuse_n_outside_their_range(route, n):
+    from loadsizer.ecls import build_switch_matrix, line_search_C
+
+    # 2^13 - 1 samples, so that n = 13 is not refused for too few samples first
+    series = sorted_series(np.linspace(0.1, 1.0, 8191))
+    solve = {
+        "build_switch_matrix": lambda: build_switch_matrix(n, 1),
+        "optimize_m": lambda: optimize_m(series, n),
+        "solve_icls_fixed_m": lambda: solve_icls_fixed_m(series, SwitchTimes.equidistant(40, 2), n),
+        "line_search_C": lambda: line_search_C(series, n),
+    }[route]
+    with pytest.raises(DataError, match=rf"^n must be in 1\.\.12, got {n}$"):
         solve()
 
 

@@ -186,3 +186,71 @@ def test_the_check_sees_module_state():
     assert module_state(tree) == [
         "6 _SEEN", "7 _ORDER", "8 _KEYS", "10 @functools.lru_cache on f", "15 @cache on g",
     ]
+
+
+def module_constants(tree: ast.Module) -> dict[str, object]:
+    """Each top-level name bound once to a literal, with its value."""
+    constants = {}
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else []
+        if len(targets) == 1 and isinstance(targets[0], ast.Name):
+            try:
+                constants[targets[0].id] = ast.literal_eval(node.value)
+            except ValueError:
+                pass
+    return constants
+
+
+def refusal_messages(tree: ast.Module) -> set[str]:
+    """The text of every ``raise X("...")`` and ``raise X(f"...")``. An
+    f-string field that names a module-level constant reads as its value,
+    any other field as ``…``."""
+    constants = module_constants(tree)
+
+    def field(node: ast.FormattedValue) -> str:
+        name = getattr(node.value, "id", None)
+        if name in constants and node.conversion == -1 and node.format_spec is None:
+            return str(constants[name])
+        return "…"
+
+    messages = set()
+    for node in ast.walk(tree):
+        call = node.exc if isinstance(node, ast.Raise) else None
+        if not isinstance(call, ast.Call) or not call.args:
+            continue
+        text = call.args[0]
+        if isinstance(text, ast.Constant) and isinstance(text.value, str):
+            messages.add(text.value)
+        elif isinstance(text, ast.JoinedStr):
+            messages.add(
+                "".join(
+                    part.value if isinstance(part, ast.Constant) else field(part)
+                    for part in text.values
+                )
+            )
+    return messages
+
+
+def test_each_refusal_is_raised_from_one_module():
+    """A refusal raised from two modules is a rule stated twice; the module
+    that owns the rule raises it and the other calls that module."""
+    homes: dict[str, list[str]] = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for message in refusal_messages(ast.parse(path.read_text(encoding="utf-8"))):
+            homes.setdefault(message, []).append(str(path.relative_to(PACKAGE)))
+    shared = {message: paths for message, paths in homes.items() if len(paths) > 1}
+    assert not shared, f"refusals raised from more than one module: {shared}"
+
+
+def test_the_check_reads_refusal_messages():
+    tree = ast.parse(
+        "LIMIT = 4\n_NAME = 'x'\n\ndef f(n, level):\n"
+        "    if n > LIMIT:\n        raise ValueError(f'n must be in 1..{LIMIT}, got {n}')\n"
+        "    if level < 0:\n        raise ValueError(f'level outside [0, {level!r})')\n"
+        "    if not n:\n        raise ValueError('n is zero')\n"
+        "    if level > n:\n        raise ValueError(f'{_NAME}: {LIMIT:.2f}')\n"
+        "    raise ValueError\n"
+    )
+    assert refusal_messages(tree) == {
+        "n must be in 1..4, got …", "level outside [0, …)", "n is zero", "x: …",
+    }
