@@ -164,7 +164,11 @@ def capture_best(values: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndar
         # draw k covers the values from the first >= sums[k] up to the
         # first >= sums[k + 1]; the values below sums[1] all take draw 0
         cuts = np.searchsorted(values, sums[1:], side="left")
-        counts = np.diff(cuts, prepend=0, append=values.size)
+        # run k is cuts[k] - cuts[k - 1], with 0 before the first cut and values.size after the last
+        counts = np.empty(sums.size, dtype=cuts.dtype)
+        counts[-1] = values.size
+        counts[:-1] = cuts
+        counts[1:] -= cuts
         return np.repeat(sums, counts), np.repeat(masks, counts)
     idx = np.searchsorted(sums, values, side="right") - 1
     idx = np.maximum(idx, 0)  # sums[0] == 0.0 is always feasible

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .dispatch import available_energy, capture_best, combo_index, nonzero_combo_rows
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, load_count
 from .results import format_floats, write_csv_columns
 from .timeseries import SortedSeries
 
@@ -58,7 +58,9 @@ class SwitchMatrix:
 
 def build_switch_matrix(n: int, block_length: int = DEFAULT_BLOCK_LENGTH) -> SwitchMatrix:
     """The switch matrix of ``n`` loads; ECLS and ICLS both size
-    1..``MAX_LOADS`` (12) loads, and any other n raises ``DataError``."""
+    1..``MAX_LOADS`` (12) loads, and any other n, a non-integer or a bool
+    included, raises ``DataError``."""
+    n = load_count(n)
     if not 1 <= n <= MAX_LOADS:
         raise DataError(f"n must be in 1..{MAX_LOADS}, got {n}")
     if block_length < 1:
@@ -102,21 +104,22 @@ def solve_kkt(H, g, A, r):
 
     Its solution minimizes ``0.5 x^T H x - g^T x`` subject to ``A x = r``,
     with multipliers m. ``H``, ``g`` and ``r`` may carry the same leading
-    stack axes; each system of a stack gets the bytes it gets alone. More
-    rows in ``A`` than unknowns make the matrix singular, which LAPACK
-    reports only on an exactly zero pivot, so that case raises here; a
-    rank-deficient ``A`` of at most n rows is not detected. Returns
-    ``(x, m)``.
+    stack axes, and ``A`` of shape (k, n) is shared by every system or
+    carries them too, shape (..., k, n); each system of a stack gets the
+    bytes it gets alone. More rows in ``A`` than unknowns make the matrix
+    singular, which LAPACK reports only on an exactly zero pivot, so that
+    case raises here; a rank-deficient ``A`` of at most n rows is not
+    detected. Returns ``(x, m)``.
     """
     n = H.shape[-1]
-    k = A.shape[0]
+    k = A.shape[-2]
     if k > n:
         raise np.linalg.LinAlgError(f"{k} constraint rows in {n} unknowns")
     kkt, rhs = H, g
     if k:
         kkt = np.zeros(H.shape[:-2] + (n + k, n + k))
         kkt[..., :n, :n] = H
-        kkt[..., :n, n:] = A.T
+        kkt[..., :n, n:] = A.swapaxes(-1, -2)
         kkt[..., n:, :n] = A
         rhs = np.concatenate([g, r], axis=-1)
     stacked = H.ndim > 2  # a stack takes its right-hand sides as one-column matrices

@@ -1,8 +1,11 @@
-"""Exception hierarchy shared by all loadsizer modules.
+"""Exception hierarchy shared by all loadsizer modules, and the one check
+of a load count that every route refuses a bad ``n`` with.
 
 Exit-code mapping used by the CLI: data/parse/domain/numeric errors exit
 with 1, usage errors with 2, partial multi-method failures with 3.
 """
+
+import numbers
 
 
 class LoadSizerError(Exception):
@@ -27,3 +30,12 @@ class NumericError(LoadSizerError):
 
 class UsageError(LoadSizerError):
     """Inconsistent options or knobs outside their documented ranges."""
+
+
+def load_count(n) -> int:
+    """A load count ``n`` as an ``int``. A bool or a non-integer (a NumPy
+    integer is accepted) raises ``DataError``; every route that takes an
+    ``n`` refuses one here."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise DataError(f"n must be an integer, got {n!r}")
+    return int(n)

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dispatch import available_energy, capture_best, nonzero_combo_rows
+from .dispatch import available_energy, capture_best
 from .ecls import build_switch_matrix, solve_kkt
 from .errors import DataError, NumericError
 from .timeseries import SortedSeries
@@ -80,20 +80,22 @@ class SwitchTimes:
         return cls.from_free((base,) * (blocks - 1), total, n)
 
 
-def build_um(m: SwitchTimes, n: int) -> np.ndarray:
-    """Dense switch-state matrix with block k repeated ``m_k`` times."""
-    rows = nonzero_combo_rows(n)
-    if len(m.lengths) != rows.shape[0]:
-        raise DataError(f"{len(m.lengths)} blocks do not match n={n}")
-    return np.repeat(rows, m.lengths, axis=0)
-
-
 @functools.lru_cache(maxsize=32)
 def upper_ones(n: int) -> np.ndarray:
     """Upper-triangular all-ones transform from incremental to total sizes."""
     out = np.triu(np.ones((n, n)))
     out.flags.writeable = False
     return out
+
+
+@functools.lru_cache(maxsize=32)
+def _constraint_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only block rows ``w`` (each combination's draw in ``x_bar``)
+    and the QP's constraint rows: ``x_bar >= 0``, then one cap per block."""
+    w = build_switch_matrix(n, 1).distinct_rows @ upper_ones(n)
+    C = np.vstack([-np.eye(n), w])
+    w.flags.writeable = C.flags.writeable = False
+    return w, C
 
 
 @dataclass(frozen=True)
@@ -124,59 +126,138 @@ class IclsResult:
     warm_hits: int = 0
 
 
-def _active_set_qp(H, g, C, b, max_iter, x, working, mult):
-    """Minimize 0.5 x'Hx - g'x subject to Cx <= b (H strictly convex).
+def _ratio_scan(rates, slack, working):
+    """The ratio test's scalar rule, for one QP: of the rows that can block
+    a step of length < 1 - 1e-15, in index order, keep the first row
+    outside ``working`` that beats the running ratio by 1e-15. Returns
+    ``(step length, blocking row or -1)``."""
+    rows = np.flatnonzero(rates > 1e-14)
+    ratios = slack[rows] / rates[rows]
+    near = ratios < 1.0 - 1e-15
+    alpha, blocking = 1.0, -1
+    for i, ratio in zip(rows[near].tolist(), ratios[near].tolist()):
+        if ratio < alpha - 1e-15 and i not in working:
+            alpha = max(ratio, 0.0)
+            blocking = i
+    return alpha, blocking
 
-    Classic primal active-set iteration (Nocedal & Wright, Numerical
-    Optimization, ch. 16): solve the equality-constrained subproblem (EQP)
-    on the working set, step to the first blocking constraint when the
-    subproblem solution is infeasible, and drop the constraint with the
-    most negative multiplier when it is stationary. The working set is
-    kept sorted, so every KKT system is built in one canonical row order
-    and the final working set fixes the answer, whatever path led to it.
-    On degenerate data different starts can end on different working
-    sets, whose points may differ by an ulp.
 
-    It starts from ``x``, the feasible EQP point of the sorted ``working``
-    set with multipliers ``mult``, and returns at once when they are all
-    >= -``_KKT_TOL``. A full step lands on the EQP point just solved, so
-    its multipliers are tested without solving that working set again.
-    Returns ``(x, working, multipliers, EQPs solved)``.
+def _active_set_qps(H, g, C, b, max_iter, x, working, mult):
+    """Minimize 0.5 x'Hx - g'x subject to Cx <= b for every QP of a stack
+    (each H strictly convex), all in lockstep.
+
+    Each QP runs the classic primal active-set iteration (Nocedal & Wright,
+    Numerical Optimization, ch. 16): solve the equality-constrained
+    subproblem (EQP) on the working set, step to the first blocking
+    constraint when the subproblem solution is infeasible, and drop the
+    constraint with the most negative multiplier when it is stationary.
+    Working sets are kept sorted, so every KKT system is built in one
+    canonical row order and the final working set fixes the answer,
+    whatever path led to it. On degenerate data different starts can end
+    on different working sets, whose points may differ by an ulp.
+
+    QP i starts from ``x[i]``, the feasible EQP point of the sorted
+    ``working[i]`` with multipliers ``mult[i]``, and returns at once when
+    they are all >= -``_KKT_TOL``. A full step lands on the EQP point just
+    solved, so its multipliers are tested without solving that working
+    set again.
+
+    Each round solves one EQP for every QP still running: the QPs are
+    grouped by working-set size, and each group is one stacked
+    `solve_kkt`. A QP whose EQP point lies within 1e-13 of its current
+    point does not step; the ratio test runs for the rest of the group at
+    once. Where a QP's smallest ratio is >= 0, belongs to a row outside
+    its working set and beats every other ratio by 1e-15, that row is the
+    one the scalar rule (`_ratio_scan`) picks; any other QP runs
+    `_ratio_scan` itself. Every QP gets the bytes it gets alone. Returns
+    one ``(x, working, multipliers, EQPs solved)`` per QP.
     """
-    working = list(working)
-    x_eq, solves = x, 0
-    while mult.size and mult.min() < -_KKT_TOL:
-        working.pop(int(np.argmin(mult)))
-        blocking = 0
-        while blocking >= 0:  # until a full step or a stationary EQP point
-            if solves == max_iter:
-                raise NumericError(f"active set did not terminate; working set {working}")
-            solves += 1
-            try:
-                x_eq, mult = solve_kkt(H, g, C[working], b[working])
-            except np.linalg.LinAlgError as exc:
-                raise NumericError(f"singular working-set system {working}: {exc}") from exc
-            d = x_eq - x
-            if np.abs(d).max() <= 1e-13:
-                break
-            rates = C @ d
-            slack = b - C @ x
-            # rows that can block a step of length < 1 - 1e-15, in index order;
-            # the scan keeps the first row outside the working set that beats
-            # the running ratio by 1e-15
-            rows = np.flatnonzero(rates > 1e-14)
-            ratios = slack[rows] / rates[rows]
-            near = ratios < 1.0 - 1e-15
-            blocking = -1
-            alpha = 1.0
-            for i, ratio in zip(rows[near].tolist(), ratios[near].tolist()):
-                if ratio < alpha - 1e-15 and i not in working:
-                    alpha = max(ratio, 0.0)
-                    blocking = i
-            x = x + alpha * d
-            if blocking >= 0:
-                bisect.insort(working, blocking)
-    return x_eq, working, mult, solves
+    count = len(working)
+    points = np.array(x, dtype=float)  # each QP's current feasible point
+    working = [list(rows) for rows in working]
+    solves = [0] * count
+    out: list = [None] * count
+    running: list[int] = []
+    lanes = np.arange(count)[:, None]
+
+    def settle(members, x_eq, mult):
+        """QPs at a stationary point: return, or drop the most negative multiplier."""
+        if mult.shape[1]:
+            lowest = mult.min(axis=1).tolist()
+            drops = mult.argmin(axis=1).tolist()
+        for p, i in enumerate(members):
+            if mult.shape[1] and lowest[p] < -_KKT_TOL:
+                working[i].pop(drops[p])
+                running.append(i)
+            else:
+                out[i] = (x_eq[p], working[i], mult[p], solves[i])
+
+    def solve_round(members):
+        """One EQP and ratio test for each of the ascending ``members``,
+        whose working sets share a size."""
+        size = len(members)
+        at = slice(None) if size == count else np.array(members)
+        rows = np.array([working[i] for i in members], dtype=np.intp)  # (QPs, set size)
+        x_now, b_now = points[at], b[at]
+        try:
+            x_eq, mult = solve_kkt(H[at], g[at], C[rows], b_now[lanes[:size], rows])
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"singular working-set system among {rows.tolist()}: {exc}") from exc
+        d = x_eq - x_now
+        shifts = np.abs(d).max(axis=1).tolist()
+        still = [p for p, shift in enumerate(shifts) if shift <= 1e-13]
+        stationary = list(still)
+        if len(still) < size:  # the others step: the ratio test
+            rates = np.matmul(C, d[:, :, None])[:, :, 0]
+            slack = b_now - np.matmul(C, x_now[:, :, None])[:, :, 0]
+            ratios = np.where(rates > 1e-14, slack / np.maximum(rates, 1e-14), np.inf)
+            first = ratios.argmin(axis=1).tolist()
+            ratios.partition(1, axis=1)
+            two = ratios[:, :2].tolist()  # the smallest ratio, then the second
+            alpha = [1.0] * size
+            for p, (i, shift, (low, second)) in enumerate(zip(members, shifts, two)):
+                if shift <= 1e-13:
+                    continue
+                blocking = -1  # a full step
+                if low < 1.0 - 1e-15:
+                    if (
+                        low < second - 1e-15
+                        and math.copysign(1.0, low) > 0
+                        and first[p] not in working[i]
+                    ):
+                        alpha[p], blocking = low, first[p]
+                    else:  # a negative or tied minimum, or a working row's
+                        alpha[p], blocking = _ratio_scan(rates[p], slack[p], working[i])
+                if blocking >= 0:
+                    bisect.insort(working[i], blocking)
+                    running.append(i)
+                else:
+                    stationary.append(p)
+            x_next = x_now + np.array(alpha)[:, None] * d
+            if still:
+                x_next[still] = x_now[still]
+            points[at] = x_next
+        if len(stationary) < size:
+            members = [members[p] for p in stationary]
+            x_eq, mult = x_eq[stationary], mult[stationary]
+        settle(members, x_eq, mult)
+
+    by_size: dict[int, list[int]] = {}
+    for i, rows in enumerate(working):
+        by_size.setdefault(len(rows), []).append(i)
+    for members in by_size.values():
+        settle(members, [x[i] for i in members], np.array([mult[i] for i in members]))
+    while running:
+        by_size = {}
+        for i in sorted(running):  # ascending: a group of every QP is the stack itself
+            if solves[i] == max_iter:
+                raise NumericError(f"active set did not terminate; working set {working[i]}")
+            solves[i] += 1
+            by_size.setdefault(len(working[i]), []).append(i)
+        running = []
+        for members in by_size.values():
+            solve_round(members)
+    return out
 
 
 class _Fit(NamedTuple):
@@ -197,13 +278,11 @@ class _FitContext:
 
     def __init__(self, values: np.ndarray, n: int):
         self.values = values
-        self.n = n
-        self.w = build_switch_matrix(n, 1).distinct_rows @ upper_ones(n)
+        self.n = build_switch_matrix(n, 1).n
+        self.w, self.C = _constraint_rows(self.n)
         self.prefix = np.concatenate([[0.0], np.cumsum(values)])
         self.total_power = available_energy(values)
-        # constraint rows: x_bar >= 0, then one cap per block
-        self.C = np.vstack([-np.eye(n), self.w])
-        self.max_iter = 50 * (n + self.w.shape[0])
+        self.max_iter = 50 * self.C.shape[0]
 
     def utilization(self, x: np.ndarray) -> float:
         captured, _ = capture_best(self.values, x)
@@ -221,9 +300,13 @@ class _FitContext:
         b >= 0 and is written down, not solved. A warm stack whose
         `solve_kkt` raises starts cold as a whole: only more rows than
         unknowns do that, as final working sets are linearly independent
-        and H is positive definite. `_active_set_qp` then runs from every
-        start. ``iterations`` counts the fit's EQPs, its row of the warm
-        stack included. Every fit gets the bytes it gets alone.
+        and H is positive definite. `_active_set_qps` then runs every QP
+        from its start in lockstep: each round solves one EQP per QP still
+        running, one stacked `solve_kkt` per working-set size, and runs the
+        ratio test for the whole group; a QP whose smallest ratio is
+        negative, a working row's, or within 1e-15 of another falls back to
+        the scalar scan. ``iterations`` counts the fit's EQPs, its row of
+        the warm stack included. Every fit gets the bytes it gets alone.
         """
         n = self.n
         count = len(offsets)
@@ -236,14 +319,17 @@ class _FitContext:
         g = np.matmul(self.w.T, block_sums[:, :, None])[:, :, 0]
         b = np.zeros((count, self.C.shape[0]))
         b[:, n:] = self.values[starts]
-        # each QP's start: (x_bar, working set, multipliers, warm)
-        first = [(np.zeros(n), list(range(n)), -row_g, False) for row_g in g]
+        # each QP starts cold: the nonnegativity rows, at x_bar = 0 with multipliers -g
+        start = np.zeros((count, n))
+        working = [list(range(n))] * count
+        mult = list(-g)
+        warm_start = [False] * count
         warm_solves = 0
         warm_rows = sorted(warm)
         if warm_rows:
             rows = np.array(warm_rows)
             try:
-                x_bar, mult = solve_kkt(H, g, self.C[rows], b[:, rows])
+                x_bar, warm_mult = solve_kkt(H, g, self.C[rows], b[:, rows])
             except np.linalg.LinAlgError:
                 pass  # more rows than unknowns: the whole stack starts cold
             else:
@@ -251,21 +337,17 @@ class _FitContext:
                 outside = np.ones(self.C.shape[0], dtype=bool)
                 outside[rows] = False
                 drawn = np.matmul(self.C[outside], x_bar[:, :, None])[:, :, 0]
-                feasible = (drawn <= b[:, outside]).all(axis=1).tolist()
-                for i in itertools.compress(range(count), feasible):
-                    first[i] = (x_bar[i], warm_rows, mult[i], True)
-        solved = [  # (x_bar, working set, multipliers, EQPs solved)
-            _active_set_qp(H[i], g[i], self.C, b[i], self.max_iter, *start[:3])
-            for i, start in enumerate(first)
-        ]
+                feasible = (drawn <= b[:, outside]).all(axis=1)
+                start[feasible] = x_bar[feasible]
+                for i in np.flatnonzero(feasible).tolist():
+                    working[i], mult[i], warm_start[i] = warm_rows, warm_mult[i], True
+        solved = _active_set_qps(H, g, self.C, b, self.max_iter, start, working, mult)
         x_bar = np.array([row[0] for row in solved])
         x_bar = np.where(np.abs(x_bar) < 1e-14, 0.0, x_bar)
         x = np.matmul(upper_ones(n), x_bar[:, :, None])[:, :, 0]
         return [
-            _Fit(
-                row_x_bar, row_x, tuple(working), mult, warm_solves + solves, start[3] and not solves
-            )
-            for row_x_bar, row_x, (_, working, mult, solves), start in zip(x_bar, x, solved, first)
+            _Fit(row_x_bar, row_x, tuple(rows), mult, warm_solves + solves, warm and not solves)
+            for row_x_bar, row_x, (_, rows, mult, solves), warm in zip(x_bar, x, solved, warm_start)
         ]
 
     def result(self, offset: int, m: SwitchTimes, fit: _Fit, su: float) -> IclsResult:
@@ -379,10 +461,11 @@ def optimize_m(
         raise DataError("restarts must be >= 0")
     values = sorted_series.values
     total = values.size
+    context = _FitContext(values, n)
+    n = context.n
     blocks = 2**n - 1
     if total < blocks:
         raise DataError(f"need at least {blocks} samples for n={n}, got {total}")
-    context = _FitContext(values, n)
     work = [0, 0, 0]  # QPs solved, active-set iterations, warm hits
 
     def tally(iterations: int, warm_hit: bool) -> None:

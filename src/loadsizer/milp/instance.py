@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DataError
+from ..errors import DataError, load_count
 
 
 @dataclass(frozen=True)
@@ -37,12 +37,11 @@ class MilpInstance:
             raise DataError("instance needs at least one sample")
         if not np.isfinite(s).all() or (s < 0).any():
             raise DataError("profile values must be finite and >= 0")
-        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
-            raise DataError(f"n must be an integer, got {self.n!r}")
-        if self.n < 1:
+        n = load_count(self.n)
+        if n < 1:
             raise DataError("n must be >= 1")
         object.__setattr__(self, "s", s)
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", n)
 
     @property
     def horizon(self) -> int:

@@ -28,10 +28,11 @@ from loadsizer.analytic import (
 from loadsizer.cli import main as cli_main
 from loadsizer.dispatch import dispatch_greedy
 from loadsizer.ecls import build_switch_matrix, dispatch_su, line_search_C, solve_ecls
-from loadsizer.icls import SwitchTimes, build_um, optimize_m, solve_icls_fixed_m, upper_ones
+from loadsizer.icls import SwitchTimes, optimize_m, solve_icls_fixed_m, upper_ones
 from loadsizer.milp import branch_and_bound, build_instance, downsample_sweep
 from loadsizer.synth import clear_day_series
 from loadsizer.timeseries import SortedSeries, downsample_uniform
+from oracles import build_um
 
 
 @contextmanager

@@ -196,6 +196,22 @@ def test_capture_best_single_sample():
         assert np.array_equal(mask, want_mask)
 
 
+def test_capture_best_sorted_runs_with_no_load_sizes():
+    # sizes at or below NO_LOAD_SIZE leave one draw, 0.0, with no cut: a
+    # single run covers every value; empty runs and a run up to the end
+    # are counted from the cuts too
+    values = np.array([0.0, 0.1, 0.25, 0.25, 0.7, 1.5])
+    captured, mask = capture_best(values, np.array([1e-12, 0.0]))
+    assert captured.tolist() == [0.0] * values.size
+    assert mask.tolist() == [0] * values.size
+    x = np.array([2.0, 0.25, 0.5])
+    for trimmed in (values, values[:1], values[2:4], values[4:]):
+        captured, mask = capture_best(trimmed, x)
+        want_captured, want_mask = oracle_capture(trimmed, x)
+        assert np.array_equal(captured, want_captured)
+        assert np.array_equal(mask, want_mask)
+
+
 def test_capture_best_unsorted_and_nan_take_general_path():
     rng = np.random.default_rng(44)
     x = rng.integers(1, 16, size=4) / 16.0

@@ -178,6 +178,36 @@ def test_solve_kkt_stacked_matches_alone_bit_for_bit(k):
         assert (np.abs(A @ x_alone - r[i]) <= 1e-9).all()
 
 
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_solve_kkt_stacked_rows_match_alone_bit_for_bit(k):
+    # each system of a stack brings its own constraint rows, as the ICLS
+    # lockstep's working sets do
+    rng = np.random.default_rng(60 + k)
+    n, count = 4, 9
+    G = rng.normal(size=(count, 7, n))
+    H = np.matmul(G.transpose(0, 2, 1), G)
+    g = rng.normal(size=(count, n))
+    A = rng.normal(size=(count, k, n))
+    r = rng.normal(size=(count, k))
+    x, m = solve_kkt(H, g, A, r)
+    assert x.shape == (count, n) and m.shape == (count, k)
+    for i in range(count):
+        x_alone, m_alone = solve_kkt(H[i], g[i], A[i], r[i])
+        assert x_alone.tobytes() == x[i].tobytes()
+        assert m_alone.tobytes() == m[i].tobytes()
+        assert (np.abs(H[i] @ x_alone + A[i].T @ m_alone - g[i]) <= 1e-9).all()
+        assert (np.abs(A[i] @ x_alone - r[i]) <= 1e-9).all()
+
+
+def test_solve_kkt_stacked_rows_more_than_unknowns_raise():
+    rng = np.random.default_rng(65)
+    n, count = 3, 4
+    H = np.broadcast_to(np.eye(n), (count, n, n)).copy()
+    g = rng.normal(size=(count, n))
+    with pytest.raises(np.linalg.LinAlgError, match="4 constraint rows in 3 unknowns"):
+        solve_kkt(H, g, rng.normal(size=(count, n + 1, n)), rng.normal(size=(count, n + 1)))
+
+
 def bordered_ecls(points, matrix, C):
     """``solve_ecls``'s own bordered KKT build from before `solve_kkt`, kept as an oracle."""
     s = np.asarray(points, dtype=float).ravel()

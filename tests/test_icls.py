@@ -19,12 +19,12 @@ from loadsizer.icls import (
     _random_point,
     _result_key,
     SwitchTimes,
-    build_um,
     optimize_m,
     solve_icls_fixed_m,
     upper_ones,
 )
 from loadsizer.timeseries import SortedSeries
+from oracles import active_set_qp, build_um
 
 
 def sorted_series(values):
@@ -249,13 +249,13 @@ def test_cold_start_is_the_exact_nonnegativity_point(monkeypatch):
     # x_bar = 0 with multipliers -g solves the EQP on the nonnegativity
     # rows exactly; a LAPACK solve of it leaves components of order -1e-15
     starts = []
-    real = icls._active_set_qp
+    real = icls._active_set_qps
 
     def spy(H, g, C, b, max_iter, x, working, mult):
-        starts.append((g, x, tuple(working), mult))
+        starts.extend(zip(g, x, map(tuple, working), mult))
         return real(H, g, C, b, max_iter, x, working, mult)
 
-    monkeypatch.setattr(icls, "_active_set_qp", spy)
+    monkeypatch.setattr(icls, "_active_set_qps", spy)
     rng = np.random.default_rng(90)
     total = 150
     for n in (2, 3, 4):
@@ -404,6 +404,84 @@ def test_batched_sweep_matches_single_solves_bit_for_bit(n):
                 elif mult.min() < -_KKT_TOL:
                     kinds["negative"] += 1
     assert min(kinds.values()) > 0, kinds
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_lockstep_batches_match_the_scalar_oracle_bit_for_bit(monkeypatch, n):
+    # every QP of a lockstep batch ends with the bytes of the scalar
+    # active-set iteration run alone from the same start: x, working set,
+    # multipliers and EQP count
+    batches = []
+    lockstep = icls._active_set_qps
+
+    def recording(H, g, C, b, max_iter, x, working, mult):
+        out = lockstep(H, g, C, b, max_iter, x, working, mult)
+        batches.append(((H, g, C, b, max_iter, x, working, mult), out))
+        return out
+
+    scans = []
+    scan = icls._ratio_scan
+
+    def counting(*args):
+        scans.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(icls, "_active_set_qps", recording)
+    monkeypatch.setattr(icls, "_ratio_scan", counting)
+    rng = np.random.default_rng(40 + n)
+    total = 60
+    blocks = 2**n - 1
+    kinds = dict(cold=0, hit=0, negative=0, infeasible=0, too_many_rows=0)
+    for data in ("smooth", "tied", "large"):
+        values = np.sort(rng.uniform(0.05, 1.0, size=total))
+        if data == "tied":  # a 0.1 grid: blocks share first samples, and ratios tie
+            values = np.round(values, 1)
+        elif data == "large":  # rounding lets working rows' rates pass 1e-14
+            values *= 1000.0
+        context = _FitContext(values, n)
+        for sweep in range(12):
+            k0, free = random_lattice_point(rng, total, n)
+            warm = context.solve(SwitchTimes.from_free(free, total - k0, n), k0).working_set
+            if sweep == 0:
+                warm = tuple(range(n + 1))
+            elif sweep == 1:
+                warm = ()
+            step = int(rng.choice([1, 2, 5]))
+            points = []
+            for coord in range(blocks):
+                for delta in (step, -step):
+                    point = [k0, *free]
+                    point[coord] += delta
+                    if point[0] >= 0 and min(point[1:]) >= 1 and sum(point) <= total - 1:
+                        points.append(point)
+            points = np.array(points)
+            lengths = np.column_stack([points[:, 1:], total - points.sum(axis=1)])
+            context.fits(points[:, 0], lengths, warm)
+            (_, _, _, _, _, _, working, _), out = batches[-1]
+            for start, (_, _, _, solves) in zip(working, out):
+                if not warm:
+                    kinds["cold"] += 1
+                elif len(warm) > n:
+                    kinds["too_many_rows"] += 1
+                elif list(warm) == list(range(n)):
+                    continue  # a warm set that is the cold one
+                elif list(start) != sorted(warm):
+                    kinds["infeasible"] += 1
+                else:
+                    kinds["hit" if solves == 0 else "negative"] += 1
+    assert min(kinds.values()) > 0, kinds
+    assert scans, "no QP took the scalar ratio scan"
+    compared = 0
+    for (H, g, C, b, max_iter, x, working, mult), out in batches:
+        assert len(out) == len(working)
+        for i, (x_qp, rows, mult_qp, solves) in enumerate(out):
+            alone = active_set_qp(H[i], g[i], C, b[i], max_iter, x[i], working[i], mult[i])
+            assert x_qp.tobytes() == alone[0].tobytes()
+            assert list(rows) == alone[1]
+            assert mult_qp.tobytes() == alone[2].tobytes()
+            assert solves == alone[3]
+            compared += 1
+    assert compared > len(batches)  # batches of more than one QP were compared
 
 
 def test_working_set_with_more_rows_than_unknowns_raises():
@@ -666,6 +744,25 @@ def test_both_least_squares_routes_refuse_n_outside_their_range(route, n):
         "line_search_C": lambda: line_search_C(series, n),
     }[route]
     with pytest.raises(DataError, match=rf"^n must be in 1\.\.12, got {n}$"):
+        solve()
+
+
+@pytest.mark.parametrize("n", [2.5, True])
+@pytest.mark.parametrize(
+    "route", ["build_switch_matrix", "optimize_m", "solve_icls_fixed_m", "line_search_C"]
+)
+def test_both_least_squares_routes_refuse_a_non_integer_n(route, n):
+    from loadsizer.ecls import build_switch_matrix, line_search_C
+
+    # a bool is refused too, though 1 <= True <= 12 and True hashes as 1
+    series = sorted_series(np.linspace(0.1, 1.0, 40))
+    solve = {
+        "build_switch_matrix": lambda: build_switch_matrix(n, 1),
+        "optimize_m": lambda: optimize_m(series, n),
+        "solve_icls_fixed_m": lambda: solve_icls_fixed_m(series, SwitchTimes.equidistant(40, 2), n),
+        "line_search_C": lambda: line_search_C(series, n),
+    }[route]
+    with pytest.raises(DataError, match=rf"^n must be an integer, got {n!r}$"):
         solve()
 
 
