@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dispatch import nonzero_combo_rows
+from .dispatch import combo_draws, nonzero_combo_rows
 from .errors import DataError, NumericError
 
 _EDGE_GUARD = 1e-6  # fraction of y_max kept away from the arcsin edge
@@ -89,20 +89,16 @@ def _solution(model, base_sizes, iterations: int, diagnostics: dict) -> Analytic
 
 
 def _combinations(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nonzero subset sums of the units, ascending, and each one's on/off row.
+    """Nonzero subset sums of the units (their `combo_draws`), ascending, and
+    each one's on/off row.
 
     Equal sums put the higher combination index first: for two equal units,
     load 1's level first, as in the closed-form two-load Jacobian.
     """
     states = nonzero_combo_rows(sizes.size)
-    sums = states @ sizes
+    sums = combo_draws(sizes)[1:]
     order = sums.size - 1 - np.argsort(sums[::-1], kind="stable")
     return sums[order], states[order]
-
-
-def combination_levels(unit_sizes) -> np.ndarray:
-    """Sorted nonzero combination levels: the subset sums of the units."""
-    return _combinations(np.asarray(unit_sizes, dtype=float).ravel())[0]
 
 
 def _staircase(model, sizes: np.ndarray):

@@ -6,6 +6,9 @@ indexed by the binary order ``d = sum_i u_i * 2^(n-i)`` (load 1 is the most
 significant bit), so ``combo_index`` 0 means all off. Other modules pack
 and unpack this encoding only through ``combo_states`` and ``combo_index``,
 and read the table of nonzero combinations from ``nonzero_combo_rows``.
+``combo_draws`` is the one place a draw is summed: dispatch decides with
+its sums, and utilization, the schedule writer and the analytic staircase
+read theirs from it.
 """
 
 from __future__ import annotations
@@ -103,45 +106,51 @@ def nonzero_combo_rows(n: int) -> np.ndarray:
     return rows
 
 
-@functools.lru_cache(maxsize=8)
-def _subset_bits(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Loads on and combo index of every subset, in ``subset_table``'s order."""
-    pops = np.zeros(2**n, dtype=np.int64)
-    masks = np.zeros(2**n, dtype=np.int64)
-    for i in range(n):
-        k = 1 << i
-        pops[k : 2 * k] = pops[:k] + 1
-        masks[k : 2 * k] = masks[:k] | 1 << (n - 1 - i)
-    pops.flags.writeable = False
-    masks.flags.writeable = False
-    return pops, masks
+def combo_draws(x) -> np.ndarray:
+    """The draw of every subset of the loads, indexed by combo index.
 
-
-def subset_table(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All 2^n subset draws with the best representative per distinct draw.
-
-    The table is built by doubling (the list step of Horowitz & Sahni,
-    JACM 1974): load i appends ``x_i`` to every subset of loads 1..i-1, so
-    each draw is summed from load 1 onwards in one fixed order. Returns
-    ``(sums, masks)`` sorted by ascending draw; among subsets with an
-    identical draw the one with fewest loads on, then lowest combo index,
-    is kept. More than 20 loads are refused before anything is allocated.
+    Built by doubling (the list step of Horowitz & Sahni, JACM 1974): load
+    i adds ``x_i`` to every subset of loads 1..i-1, so each draw is summed
+    from load 1 onwards in one fixed order. More than 20 loads are refused
+    before anything is allocated.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
     if n < 1 or n > _MAX_LOADS:
         raise DataError(f"need 1..{_MAX_LOADS} loads, got {n}")
-    pops, masks = _subset_bits(n)
     sums = np.zeros(2**n)
-    for i in range(n):
-        k = 1 << i
-        np.add(sums[:k], x[i], out=sums[k : 2 * k])
-    order = np.lexsort((masks, pops, sums))
+    b = sums.size
+    for size in x.tolist():
+        # b is this load's bit: a subset whose last load on is this one is
+        # the subset without it plus this size
+        b >>= 1
+        np.add(sums[:: 2 * b], size, out=sums[b :: 2 * b])
+    return sums
+
+
+@functools.lru_cache(maxsize=8)
+def _popcounts(n: int) -> np.ndarray:
+    """Loads on in every combo index: the draws of n unit loads."""
+    pops = combo_draws(np.ones(n)).astype(np.int8)
+    pops.flags.writeable = False
+    return pops
+
+
+def subset_table(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All 2^n subset draws of ``combo_draws`` with the best representative
+    per distinct draw.
+
+    Returns ``(sums, masks)`` sorted by ascending draw; among subsets with an
+    identical draw the one with fewest loads on, then lowest combo index,
+    is kept (``lexsort`` is stable, so equal keys stay in index order).
+    """
+    sums = combo_draws(x)
+    order = np.lexsort((_popcounts(np.size(x)), sums))
     ordered = sums[order]
     first = np.empty(ordered.size, dtype=bool)
     first[0] = True
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    return ordered[first], masks[order[first]]
+    return ordered[first], order[first]
 
 
 def capture_best(values: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -207,12 +216,17 @@ def available_energy(values: np.ndarray) -> float:
     return total
 
 
+def _step_draws(series: PowerSeries, schedule: SwitchSchedule, x):
+    """Each step's draw, read from `combo_draws`, and the mismatch
+    ``S - draw``; sizes that do not match the schedule are refused."""
+    draw = combo_draws(_matching_sizes(series, schedule, x))[schedule.combo_index]
+    return draw, series.values - draw
+
+
 def utilization(series: PowerSeries, schedule: SwitchSchedule, x) -> UtilizationReport:
     """Captured over `available_energy` plus the per-step mismatch vector."""
-    x = _matching_sizes(series, schedule, x)
+    draw, mismatch = _step_draws(series, schedule, x)
     total = available_energy(series.values)
-    draw = x @ schedule.u
-    mismatch = series.values - draw
     if (mismatch < -_FEAS_TOL).any():
         raise DataError("schedule draws more than the available power")
     captured = float(draw.sum())
@@ -261,13 +275,11 @@ def write_schedule_csv(
     per block of rows, and the ``u`` fields of each combination that occurs
     are joined once and looked up per row.
     """
-    x = _matching_sizes(series, schedule, x)
-    draw = x @ schedule.u
-    mismatch = series.values - draw
+    draw, mismatch = _step_draws(series, schedule, x)
     stamps = series.timestamps()
     combos, combo_of_step = np.unique(schedule.combo_index, return_inverse=True)
     u_text = np.array(
-        [",".join(map(str, bits)) for bits in combo_states(combos, x.size).T.tolist()],
+        [",".join(map(str, bits)) for bits in combo_states(combos, schedule.n).T.tolist()],
         dtype=object,
     )
 
@@ -280,7 +292,8 @@ def write_schedule_csv(
             format_floats(mismatch[block]),
         ]
 
-    header = ["timestamp", "S"] + [f"u_{i + 1}" for i in range(x.size)] + ["captured", "mismatch"]
+    loads = [f"u_{i + 1}" for i in range(schedule.n)]
+    header = ["timestamp", "S"] + loads + ["captured", "mismatch"]
     return write_csv_columns(path, header, len(series), columns)
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dispatch import available_energy, capture_best, combo_index, nonzero_combo_rows
+from .dispatch import available_energy, capture_best, nonzero_combo_rows
 from .errors import DataError, NumericError, load_count
 from .results import format_floats, write_csv_columns
 from .timeseries import SortedSeries
@@ -28,15 +28,6 @@ logger = logging.getLogger(__name__)
 DEFAULT_BLOCK_LENGTH = 20
 DEFAULT_C_STEPS = 100
 MAX_LOADS = 12  # the most loads the least-squares routes size
-
-
-def binary_order(u) -> int:
-    """Signed-integer value of a switch vector: load 1 is the most
-    significant bit, ``d = sum_i u_i * 2^(n-i)``."""
-    u = np.asarray(u)
-    if not np.isin(u, (0, 1)).all():
-        raise DataError(f"switch vector entries must be 0/1, got {u.tolist()}")
-    return int(combo_index(u.reshape(-1, 1))[0])
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,8 @@ import pytest
 
 from loadsizer.analytic import (
     _area_gradient,
+    _combinations,
     area_n,
-    combination_levels,
     line_search_single,
     solve_n_load,
     solve_single_load,
@@ -23,6 +23,7 @@ from loadsizer.analytic import (
     total_energy,
     two_load_gradient,
 )
+from loadsizer.dispatch import combo_draws, combo_index
 from loadsizer.errors import DataError
 
 
@@ -261,7 +262,7 @@ def test_area_n_tie_matches_staircase_integration(ref_model):
     sizes = [0.3, 0.3]
     area = area_n(ref_model, sizes)
     # trapezoid-style oracle: fine time grid, best feasible level per step
-    levels = np.unique(combination_levels(sizes))
+    levels = np.unique(_combinations(np.array(sizes))[0])
     dt = 0.01
     t = np.arange(-ref_model.t_max, ref_model.t_max, dt) + dt / 2
     s = ref_model.forward(t)
@@ -293,7 +294,7 @@ def test_area_gradient_matches_finite_differences(ref_model, n):
     rng = np.random.default_rng(20 + n)
     for _ in range(4):
         sizes = rng.uniform(0.02, 0.9 / n, size=n)
-        assert np.diff(combination_levels(sizes), prepend=0.0).min() > 2 * h  # no kink in reach
+        assert np.diff(_combinations(sizes)[0], prepend=0.0).min() > 2 * h  # no kink in reach
         g = _area_gradient(ref_model, sizes)
         for i in range(n):
             up, dn = sizes.copy(), sizes.copy()
@@ -304,8 +305,29 @@ def test_area_gradient_matches_finite_differences(ref_model, n):
 
 
 def test_combination_levels_bit_convention():
-    levels = combination_levels([0.1, 0.4])
+    levels = _combinations(np.array([0.1, 0.4]))[0]
     assert np.allclose(levels, [0.1, 0.4, 0.5])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_combination_levels_are_the_dispatch_draws(n):
+    """Each level is its row's ``combo_draws`` draw, byte for byte, so the
+    staircase and dispatch sum a subset in one order; equal levels put the
+    higher combination index first."""
+    rng = np.random.default_rng(60 + n)
+    tied = 0
+    for case in range(40):
+        # every other case dyadic with repeats, so equal levels tie exactly
+        sizes = rng.integers(1, 4, n) / 8.0 if case % 2 else rng.uniform(0.01, 0.3, n)
+        levels, members = _combinations(sizes)
+        draws = combo_draws(sizes)
+        combos = combo_index(members.T)
+        assert levels.tobytes() == np.sort(draws[1:]).tobytes()
+        assert levels.tobytes() == draws[combos].tobytes()
+        ties = levels[1:] == levels[:-1]
+        assert (combos[1:][ties] < combos[:-1][ties]).all()
+        tied += int(ties.sum())
+    assert tied > 0 or n == 1
 
 
 def test_solve_n1_matches_single(ref_model):

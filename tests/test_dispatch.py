@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 from itertools import product
 
@@ -12,8 +13,9 @@ import pytest
 from loadsizer import PowerSeries
 from loadsizer.dispatch import (
     SwitchSchedule,
-    _subset_bits,
+    _popcounts,
     capture_best,
+    combo_draws,
     combo_histogram,
     combo_index,
     combo_states,
@@ -23,7 +25,7 @@ from loadsizer.dispatch import (
     write_histogram_csv,
     write_schedule_csv,
 )
-from loadsizer.ecls import binary_order, build_switch_matrix
+from loadsizer.ecls import build_switch_matrix
 from loadsizer.errors import DataError
 from loadsizer.results import CSV_BLOCK_ROWS, format_float
 from loadsizer.synth import clear_day_series, synth_year_series
@@ -242,12 +244,55 @@ def test_subset_table_sorted_unique():
 
 def test_more_than_twenty_loads_refused_before_the_table():
     x = np.full(21, 0.01)
-    misses = _subset_bits.cache_info().misses
-    with pytest.raises(DataError, match=r"need 1\.\.20 loads, got 21"):
-        capture_best(np.array([0.5, 0.9]), x)
-    with pytest.raises(DataError, match=r"need 1\.\.20 loads, got 21"):
-        dispatch_greedy(make_series([0.5, 0.9]), x)
-    assert _subset_bits.cache_info().misses == misses  # no 2^21 table was built
+    misses = _popcounts.cache_info().misses
+    tracemalloc.start()
+    try:
+        for refused in (
+            lambda: combo_draws(x),
+            lambda: subset_table(x),
+            lambda: capture_best(np.array([0.5, 0.9]), x),
+            lambda: dispatch_greedy(make_series([0.5, 0.9]), x),
+        ):
+            with pytest.raises(DataError, match=r"need 1\.\.20 loads, got 21"):
+                refused()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _popcounts.cache_info().misses == misses  # no 2^21 popcount table
+    assert peak < 2**20  # no 2^21 draw table either: that is 16 MiB
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+def test_combo_draws_sum_each_subset_from_load_one(n):
+    rng = np.random.default_rng(70 + n)
+    x = rng.uniform(0.01, 1.0, n)
+    draws = combo_draws(x)
+    assert draws.shape == (2**n,) and draws[0] == 0.0
+    for d, bits in enumerate(combo_states(np.arange(2**n), n).T):
+        want = 0.0
+        for size, on in zip(x, bits):
+            if on:
+                want += size
+        assert draws[d] == want
+
+
+@pytest.mark.parametrize("n", range(2, 14))
+def test_reported_draw_is_the_dispatched_draw(tmp_path, n):
+    """``utilization`` and the schedule CSV report, byte for byte, the draw
+    that ``capture_best`` dispatched with."""
+    rng = np.random.default_rng(80 + n)
+    series = make_series(random_power(2000, seed=n))
+    x = rng.uniform(0.02, 0.9, n) * (2.0 / n)
+    captured, _ = capture_best(series.values, x)
+    schedule = dispatch_greedy(series, x)
+    report = utilization(series, schedule, x)
+    assert report.mismatch.tobytes() == (series.values - captured).tobytes()
+    assert report.captured_energy == float(captured.sum())
+    path = write_schedule_csv(series, schedule, x, tmp_path / "schedule.csv")
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["captured"] for row in rows] == list(map(format_float, captured))
+    assert [row["mismatch"] for row in rows] == list(map(format_float, series.values - captured))
 
 
 def test_appending_tiny_unit_never_lowers_su():
@@ -382,7 +427,12 @@ def test_schedule_csv_refuses_more_sizes_than_loads(tmp_path):
 
 def row_schedule_csv(series, schedule, x, path):
     x = np.asarray(x, dtype=float).ravel()
-    draw = x @ schedule.u
+    u = schedule.u
+    draw = np.zeros(len(series))
+    for k in range(len(series)):  # each step's draw, summed from load 1 onwards
+        for i in range(x.size):
+            if u[i, k]:
+                draw[k] += x[i]
     step = timedelta(seconds=series.interval_seconds)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -391,7 +441,7 @@ def row_schedule_csv(series, schedule, x, path):
         )
         for k in range(len(series)):
             row = [(series.start + k * step).isoformat(), format_float(series.values[k])]
-            row += [str(int(schedule.u[i, k])) for i in range(x.size)]
+            row += [str(int(u[i, k])) for i in range(x.size)]
             row += [format_float(draw[k]), format_float(series.values[k] - draw[k])]
             writer.writerow(row)
     return path
@@ -509,5 +559,6 @@ def test_combo_states_and_index_round_trip_n20():
 def test_combo_helpers_agree_with_switch_matrix_and_binary_order(n):
     rows = build_switch_matrix(n, 1).distinct_rows
     assert np.array_equal(rows, combo_states(np.arange(1, 2**n), n).T)
-    orders = [binary_order(row.astype(int)) for row in rows]
+    # the binary order: a row's bits read as a binary numeral, load 1 first
+    orders = [int("".join(str(int(bit)) for bit in row), 2) for row in rows]
     assert orders == combo_index(rows.T).tolist() == list(range(1, 2**n))

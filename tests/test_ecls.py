@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
+from loadsizer.dispatch import combo_index
 from loadsizer.ecls import (
-    binary_order,
     build_switch_matrix,
     dispatch_su,
     line_search_C,
@@ -31,15 +31,15 @@ def sorted_series(values):
 # ---------------------------------------------------------------------------
 
 
+def binary_order(u) -> int:
+    """Combo index of one switch vector: load 1 is the most significant bit."""
+    return int(combo_index(np.reshape(u, (-1, 1)))[0])
+
+
 def test_binary_order_examples():
     assert binary_order([1, 0]) == 2
     assert binary_order([1, 1, 1]) == 7
     assert binary_order([0, 0]) == 0
-
-
-def test_binary_order_rejects_non_binary():
-    with pytest.raises(DataError):
-        binary_order([0, 2])
 
 
 def test_build_switch_matrix_shapes():

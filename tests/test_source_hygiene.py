@@ -1,6 +1,7 @@
 """Source checks on the package itself: no imported name goes unused, no
 private top-level name goes unreferenced, only the reader imports the
-``csv`` module, and the MILP package keeps no state between calls."""
+``csv`` module, the MILP package keeps no state between calls, each
+refusal has one home and no draw is summed as a matrix product."""
 
 from __future__ import annotations
 
@@ -254,3 +255,48 @@ def test_the_check_reads_refusal_messages():
     assert refusal_messages(tree) == {
         "n must be in 1..4, got …", "level outside [0, …)", "n is zero", "x: …",
     }
+
+
+def matrix_draws(tree: ast.Module) -> list[str]:
+    """Each ``a @ b`` that sums sizes over an on/off matrix, with its line:
+    ``b`` is a ``.u`` attribute, or ``a`` is a ``.u`` attribute, the name
+    ``states`` or a ``nonzero_combo_rows(...)`` call."""
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)):
+            continue
+        left, right = node.left, node.right
+        if (
+            getattr(right, "attr", None) == "u"
+            or getattr(left, "attr", None) == "u"
+            or getattr(left, "id", None) == "states"
+            or isinstance(left, ast.Call) and short_name(left.func) == "nonzero_combo_rows"
+        ):
+            found.append(f"{node.lineno} {ast.unparse(node)}")
+    return found
+
+
+def test_no_draw_is_a_matrix_product():
+    """A draw is summed in one place, ``dispatch.combo_draws``, in the order
+    dispatch decides with; a matrix product hands the sum to BLAS, which
+    groups the loads its own way and can differ in the last bit."""
+    products = {
+        str(path.relative_to(PACKAGE)): found
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if (found := matrix_draws(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert not products, f"draws summed as matrix products: {products}"
+
+
+def test_the_check_sees_a_matrix_draw():
+    tree = ast.parse(
+        "draw = x @ schedule.u\nback = sol.u @ x\nstates = nonzero_combo_rows(n)\n"
+        "sums = states @ sizes\nlevels = nonzero_combo_rows(n) @ sizes\n"
+        "fit = rows.T @ rows\nresid = basis @ coef\ncounts = combo_states(p, n) @ steps\n"
+    )
+    assert matrix_draws(tree) == [
+        "1 x @ schedule.u",
+        "2 sol.u @ x",
+        "4 states @ sizes",
+        "5 nonzero_combo_rows(n) @ sizes",
+    ]
