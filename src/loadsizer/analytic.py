@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dispatch import combo_draws, nonzero_combo_rows
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, load_count
 
 _EDGE_GUARD = 1e-6  # fraction of y_max kept away from the arcsin edge
 _ASCENT_MAX_ITER = 20000
@@ -145,35 +145,6 @@ def solve_single_load(model) -> AnalyticSolution:
     )
 
 
-def line_search_single(model, grid_size: int = 1000) -> AnalyticSolution:
-    """Single-load optimum by brute scan of ``2*t(y)*y`` on a uniform y grid."""
-    if grid_size < 10:
-        raise DataError("grid_size must be >= 10")
-    lo, hi = _guard_band(model)
-    ys = np.linspace(lo, hi, grid_size)
-    widths = np.asarray(model.half_width(ys), dtype=float)
-    areas = 2.0 * widths * ys
-    j = int(np.argmax(areas))
-    return _solution(model, [ys[j]], grid_size, {"grid_size": grid_size})
-
-
-def area_n(model, unit_sizes) -> float:
-    """Staircase area captured by all nonzero on/off combinations of the units.
-
-    Equal levels merge into zero-width slabs; any level reaching y_max is a
-    domain error.
-    """
-    sizes = np.asarray(unit_sizes, dtype=float).ravel()
-    if sizes.size == 0:
-        raise DataError("need at least one unit size")
-    if (sizes <= 0).any():
-        raise DataError(f"unit sizes must be positive, got {sizes.tolist()}")
-    top = sizes.sum()
-    if top >= model.y_max:
-        raise DataError(f"combination level {top:.6g} reaches y_max {model.y_max:.6g}")
-    return _staircase(model, sizes)[3]
-
-
 def _area_gradient(model, sizes: np.ndarray) -> np.ndarray:
     """Exact gradient of the staircase area with respect to the unit sizes.
 
@@ -186,12 +157,6 @@ def _area_gradient(model, sizes: np.ndarray) -> np.ndarray:
     above = np.append(widths[1:], 0.0)
     per_level = 2.0 * (slopes * np.diff(levels, prepend=0.0) + widths - above)
     return per_level @ members
-
-
-def two_load_gradient(model, y1: float, y2: float) -> np.ndarray:
-    """Gradient of the two-load staircase area at (y1, y2): the closed-form
-    Jacobian, as ``_area_gradient`` gives it for n = 2."""
-    return _area_gradient(model, np.array([y1, y2], dtype=float))
 
 
 def _project_simplex_cap(y: np.ndarray, cap: float) -> np.ndarray:
@@ -271,7 +236,8 @@ def solve_n_load(
     seed: int = 42,
 ) -> AnalyticSolution:
     """Multistart projected gradient ascent over n unit sizes, n in
-    1..``MAX_LOADS`` (4); any other n raises ``DataError``.
+    1..``MAX_LOADS`` (4); any other n, a non-integer or a bool included,
+    raises ``DataError``.
 
     Starts include an equal split, the previous (n-1)-load optimum padded
     with a small extra unit (which keeps utilization non-decreasing in n),
@@ -282,6 +248,7 @@ def solve_n_load(
     so solving n = 2, 3, 4 in turn ascends each level once; the arch must
     therefore be hashable and is taken as immutable.
     """
+    n = load_count(n)
     if not 1 <= n <= MAX_LOADS:
         raise DataError(f"n must be in 1..{MAX_LOADS}, got {n}")
     if multistarts < 1:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, load_count
 from .results import format_floats, write_csv_columns
 from .timeseries import PowerSeries
 
@@ -41,14 +41,16 @@ class SwitchSchedule:
     n: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= _MAX_LOADS:
-            raise DataError(f"need 1..{_MAX_LOADS} loads, got {self.n}")
+        n = load_count(self.n)
+        if not 1 <= n <= _MAX_LOADS:
+            raise DataError(f"need 1..{_MAX_LOADS} loads, got {n}")
         combo = np.asarray(self.combo_index, dtype=np.int64)
         if combo.ndim != 1:
             raise DataError("combo_index must be a 1-D vector")
-        if combo.size and (combo.min() < 0 or combo.max() >= 2**self.n):
-            raise DataError(f"combo_index values must lie in 0..{2**self.n - 1}")
+        if combo.size and (combo.min() < 0 or combo.max() >= 2**n):
+            raise DataError(f"combo_index values must lie in 0..{2**n - 1}")
         object.__setattr__(self, "combo_index", combo)
+        object.__setattr__(self, "n", n)
 
     @property
     def u(self) -> np.ndarray:

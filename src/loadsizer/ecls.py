@@ -43,9 +43,6 @@ class SwitchMatrix:
     def rows_used(self) -> int:
         return self.block_length * (2**self.n - 1)
 
-    def dense(self) -> np.ndarray:
-        return np.repeat(self.distinct_rows, self.block_length, axis=0)
-
 
 def build_switch_matrix(n: int, block_length: int = DEFAULT_BLOCK_LENGTH) -> SwitchMatrix:
     """The switch matrix of ``n`` loads; ECLS and ICLS both size

@@ -12,10 +12,10 @@ from pathlib import Path
 import numpy as np
 
 from .results import write_csv_columns
-from .timeseries import ClearSkyModel, PowerSeries
+from .timeseries import PowerSeries
 
-# Trig parameters of a fitted San Diego clear day, used as the reference
-# arch for the semianalytic solver and the synthetic fixtures.
+# Trig parameters of a fitted San Diego clear day: the reference arch of the
+# synthetic fixtures and of the tests' clear-day model.
 REFERENCE_A = 0.9903
 REFERENCE_B = 0.006952
 REFERENCE_C = 1.572
@@ -28,18 +28,6 @@ CLEAR_DAY_START = datetime(2021, 6, 21, 5, 0)
 # share of clear and of scattered-cloud days in the year; the rest are overcast
 CLEAR_FRACTION = 0.62
 SCATTERED_FRACTION = 0.28
-
-
-def reference_clear_model() -> ClearSkyModel:
-    """Clear-day model with the reference San Diego trig parameters."""
-    return ClearSkyModel(
-        a=REFERENCE_A,
-        b=REFERENCE_B,
-        c=REFERENCE_C,
-        p1=-2.001e-5,
-        p2=0.0,
-        p3=0.9708,
-    )
 
 
 def trig_day_values(

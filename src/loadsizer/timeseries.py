@@ -355,11 +355,6 @@ class ClearSkyModel:
         }
         return json.dumps(keys, indent=2, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "ClearSkyModel":
-        d = json.loads(text)
-        return cls(a=d["a"], b=d["b"], c=d["c"], p1=d["p1"], p2=d["p2"], p3=d["p3"])
-
 
 def model_inverse(model: ClearSkyModel, y: float) -> float:
     """Negative-branch inverse of the trig arch: the (negative) time at which

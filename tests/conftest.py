@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from loadsizer import normalize
+from loadsizer import ClearSkyModel, normalize
 from loadsizer.synth import (
+    REFERENCE_A,
+    REFERENCE_B,
+    REFERENCE_C,
     clear_day_series,
-    reference_clear_model,
     synth_year_series,
     write_series_csv,
 )
@@ -16,7 +18,9 @@ from loadsizer.synth import (
 @pytest.fixture(scope="session")
 def ref_model():
     """Clear-day trig model with the reference San Diego parameters."""
-    return reference_clear_model()
+    return ClearSkyModel(
+        a=REFERENCE_A, b=REFERENCE_B, c=REFERENCE_C, p1=-2.001e-5, p2=0.0, p3=0.9708
+    )
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,10 @@
   and EQP count.
 - `build_um` is the dense switch-state matrix U(m) that the ICLS fit
   stands for; the package builds its QP from block sums and never forms it.
+- `line_search_single` is the brute-scan cross-check of the analytic
+  single-load optimum: it scans the rectangle area ``2*t(y)*y`` on a
+  uniform level grid, where `analytic.solve_single_load` bisects the
+  stationarity condition.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import bisect
 
 import numpy as np
 
+from loadsizer.analytic import AnalyticSolution, _guard_band, _solution
 from loadsizer.dispatch import nonzero_combo_rows
 from loadsizer.ecls import solve_kkt
 from loadsizer.errors import DataError, NumericError
@@ -81,3 +86,15 @@ def build_um(m: SwitchTimes, n: int) -> np.ndarray:
     if len(m.lengths) != rows.shape[0]:
         raise DataError(f"{len(m.lengths)} blocks do not match n={n}")
     return np.repeat(rows, m.lengths, axis=0)
+
+
+def line_search_single(model, grid_size: int = 1000) -> AnalyticSolution:
+    """Single-load optimum by brute scan of ``2*t(y)*y`` on a uniform y grid."""
+    if grid_size < 10:
+        raise DataError("grid_size must be >= 10")
+    lo, hi = _guard_band(model)
+    ys = np.linspace(lo, hi, grid_size)
+    widths = np.asarray(model.half_width(ys), dtype=float)
+    areas = 2.0 * widths * ys
+    j = int(np.argmax(areas))
+    return _solution(model, [ys[j]], grid_size, {"grid_size": grid_size})

@@ -19,12 +19,7 @@ import pytest
 from click.testing import CliRunner
 
 from loadsizer import PowerSeries, normalize, sort_ascending
-from loadsizer.analytic import (
-    line_search_single,
-    solve_single_load,
-    solve_two_load,
-    total_energy,
-)
+from loadsizer.analytic import solve_single_load, solve_two_load, total_energy
 from loadsizer.cli import main as cli_main
 from loadsizer.dispatch import dispatch_greedy
 from loadsizer.ecls import build_switch_matrix, dispatch_su, line_search_C, solve_ecls
@@ -32,7 +27,7 @@ from loadsizer.icls import SwitchTimes, optimize_m, solve_icls_fixed_m, upper_on
 from loadsizer.milp import branch_and_bound, build_instance, downsample_sweep
 from loadsizer.synth import clear_day_series
 from loadsizer.timeseries import SortedSeries, downsample_uniform
-from oracles import build_um
+from oracles import build_um, line_search_single
 
 
 @contextmanager
@@ -197,7 +192,7 @@ def test_criterion_04_ecls_exactness():
             mat = build_switch_matrix(n, block_length=L)
             C = float(rng.uniform(0.5, 1.0))
             res = solve_ecls(points, mat, C)
-            u = mat.dense()
+            u = np.repeat(mat.distinct_rows, mat.block_length, axis=0)
             # KKT residual in the solver's column order: recover by matching
             # the sorted output against all column permutations
             best = math.inf

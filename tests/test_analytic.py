@@ -15,16 +15,15 @@ import pytest
 from loadsizer.analytic import (
     _area_gradient,
     _combinations,
-    area_n,
-    line_search_single,
+    _staircase,
     solve_n_load,
     solve_single_load,
     solve_two_load,
     total_energy,
-    two_load_gradient,
 )
 from loadsizer.dispatch import combo_draws, combo_index
 from loadsizer.errors import DataError
+from oracles import line_search_single
 
 
 class ParabolaArch:
@@ -186,8 +185,7 @@ def test_two_load_reference_values(ref_model):
 def test_two_load_gradient_matches_finite_differences(ref_model):
     h = 1e-6
     for y1, y2 in [(0.2, 0.5), (0.3, 0.55), (0.1, 0.7), (0.25, 0.25)]:
-        g = two_load_gradient(ref_model, y1, y2)
-        a = lambda u, v: area_n(ref_model, [u, v]) if u <= v else area_n(ref_model, [v, u])
+        g = _area_gradient(ref_model, np.array([y1, y2]))
         fd1 = (_area2_safe(ref_model, y1 + h, y2) - _area2_safe(ref_model, y1 - h, y2)) / (2 * h)
         fd2 = (_area2_safe(ref_model, y1, y2 + h) - _area2_safe(ref_model, y1, y2 - h)) / (2 * h)
         assert g[0] == pytest.approx(fd1, rel=1e-4)
@@ -248,19 +246,26 @@ def test_two_load_reports_stop_reason(ref_model):
 # ---------------------------------------------------------------------------
 
 
+def staircase_area(model, sizes) -> float:
+    """The staircase area of the units, as the ascent scores it; a combined
+    level at or above ``y_max`` raises ``DataError`` from ``half_width``."""
+    return _staircase(model, np.asarray(sizes, dtype=float))[3]
+
+
 def test_area_n_single_term_reduces_to_rectangle(ref_model):
     y = 0.5
-    assert area_n(ref_model, [y]) == pytest.approx(2 * ref_model.half_width(y) * y, rel=1e-12)
+    rectangle = 2 * ref_model.half_width(y) * y
+    assert staircase_area(ref_model, [y]) == pytest.approx(rectangle, rel=1e-12)
 
 
 def test_area_n_reference_two_load_levels(ref_model):
-    area = area_n(ref_model, [0.2727, 0.5758])
+    area = staircase_area(ref_model, [0.2727, 0.5758])
     assert area / total_energy(ref_model) == pytest.approx(0.7949, abs=0.01)
 
 
 def test_area_n_tie_matches_staircase_integration(ref_model):
     sizes = [0.3, 0.3]
-    area = area_n(ref_model, sizes)
+    area = staircase_area(ref_model, sizes)
     # trapezoid-style oracle: fine time grid, best feasible level per step
     levels = np.unique(_combinations(np.array(sizes))[0])
     dt = 0.01
@@ -275,7 +280,7 @@ def test_area_n_tie_matches_staircase_integration(ref_model):
 
 def test_area_n_rejects_level_at_ymax(ref_model):
     with pytest.raises(DataError):
-        area_n(ref_model, [0.6, 0.6])  # combined level 1.2 > y_max
+        staircase_area(ref_model, [0.6, 0.6])  # combined level 1.2 > y_max
 
 
 def test_area_n_never_exceeds_total(ref_model):
@@ -285,7 +290,7 @@ def test_area_n_never_exceeds_total(ref_model):
         sizes = rng.uniform(0.02, 0.4, size=3)
         if sizes.sum() >= ref_model.y_max:
             continue
-        assert area_n(ref_model, sizes) <= total
+        assert staircase_area(ref_model, sizes) <= total
 
 
 @pytest.mark.parametrize("n", [1, 3, 4])
@@ -300,7 +305,7 @@ def test_area_gradient_matches_finite_differences(ref_model, n):
             up, dn = sizes.copy(), sizes.copy()
             up[i] += h
             dn[i] -= h
-            fd = (area_n(ref_model, up) - area_n(ref_model, dn)) / (2 * h)
+            fd = (staircase_area(ref_model, up) - staircase_area(ref_model, dn)) / (2 * h)
             assert g[i] == pytest.approx(fd, rel=1e-4)
 
 

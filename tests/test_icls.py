@@ -749,18 +749,32 @@ def test_both_least_squares_routes_refuse_n_outside_their_range(route, n):
 
 @pytest.mark.parametrize("n", [2.5, True])
 @pytest.mark.parametrize(
-    "route", ["build_switch_matrix", "optimize_m", "solve_icls_fixed_m", "line_search_C"]
+    "route",
+    [
+        "build_switch_matrix",
+        "optimize_m",
+        "solve_icls_fixed_m",
+        "line_search_C",
+        "solve_n_load",
+        "SwitchSchedule",
+    ],
 )
-def test_both_least_squares_routes_refuse_a_non_integer_n(route, n):
+def test_both_least_squares_routes_refuse_a_non_integer_n(route, n, ref_model):
+    from loadsizer.analytic import solve_n_load
+    from loadsizer.dispatch import SwitchSchedule
     from loadsizer.ecls import build_switch_matrix, line_search_C
 
-    # a bool is refused too, though 1 <= True <= 12 and True hashes as 1
+    # a bool is refused too, though 1 <= True <= 12 and True hashes as 1; the
+    # analytic route and a schedule refuse n the same way, before range checks
+    # that True (1 <= True <= 4) and 2.5 (index 3 < 2**2.5) would pass
     series = sorted_series(np.linspace(0.1, 1.0, 40))
     solve = {
         "build_switch_matrix": lambda: build_switch_matrix(n, 1),
         "optimize_m": lambda: optimize_m(series, n),
         "solve_icls_fixed_m": lambda: solve_icls_fixed_m(series, SwitchTimes.equidistant(40, 2), n),
         "line_search_C": lambda: line_search_C(series, n),
+        "solve_n_load": lambda: solve_n_load(ref_model, n),
+        "SwitchSchedule": lambda: SwitchSchedule(np.array([0, 1, 3]), n),
     }[route]
     with pytest.raises(DataError, match=rf"^n must be an integer, got {n!r}$"):
         solve()

@@ -1,16 +1,20 @@
 """Source checks on the package itself: no imported name goes unused, no
-private top-level name goes unreferenced, only the reader imports the
+private top-level name goes unreferenced, no public name outside the
+documented API is read by the tests alone, only the reader imports the
 ``csv`` module, the MILP package keeps no state between calls, each
 refusal has one home and no draw is summed as a matrix product."""
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "loadsizer"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "loadsizer"
+BENCHMARK = ROOT / "perfbench"
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -120,6 +124,120 @@ def test_the_check_sees_an_orphaned_private_name():
         "def _orphan():\n    pass\n\ndef public():\n    return _helper()\n"
     )
     assert set(private_top_level_names(tree)) - referenced_names(tree) == {"_orphan"}
+
+
+# Decorators under which a function is still called by its name; any other
+# one (a ``click`` command, a cache) reads the function it wraps.
+PLAIN_DECORATORS = {"property", "classmethod", "staticmethod"}
+
+# Public names outside every ``__all__`` and the README's library example
+# that stay, though nothing in the package or the benchmark reads them.
+UNREAD_API = {
+    "solve_two_load": "the README presents it as the analytic route's two-load solve",
+    "solve_icls_fixed_m": "ICLS at one fixed m; the README states the lattice result by it",
+}
+
+
+def public_definitions(tree: ast.Module) -> dict[str, int]:
+    """Each public top-level function and class, and each public method of
+    such a class as ``Class.method``, with its line. A function under a
+    decorator outside ``PLAIN_DECORATORS`` is left out: the decorator reads
+    it."""
+
+    def called_by_name(node: ast.AST) -> bool:
+        return all(getattr(d, "id", None) in PLAIN_DECORATORS for d in node.decorator_list)
+
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    names = {}
+    for node in tree.body:
+        if not isinstance(node, (*functions, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        if isinstance(node, functions) and called_by_name(node):
+            names[node.name] = node.lineno
+        elif isinstance(node, ast.ClassDef):
+            names[node.name] = node.lineno
+            for item in node.body:
+                if (
+                    isinstance(item, functions)
+                    and not item.name.startswith("_")
+                    and called_by_name(item)
+                ):
+                    names[f"{node.name}.{item.name}"] = item.lineno
+    return names
+
+
+def read_names(tree: ast.Module, init: bool = False) -> set[str]:
+    """``referenced_names`` of a module; an ``__init__``'s imports are
+    re-exports, not reads."""
+    if init:
+        body = [node for node in tree.body if not isinstance(node, ast.ImportFrom)]
+        tree = ast.Module(body=body, type_ignores=[])
+    return referenced_names(tree)
+
+
+def unread_public_names(
+    modules: dict[str, ast.Module], reads: set[str], allowed: set[str]
+) -> list[str]:
+    """``module.name`` of each public definition outside ``allowed`` whose
+    own name is not in ``reads``."""
+    return [
+        f"{module}.{name}"
+        for module, tree in modules.items()
+        for name in public_definitions(tree)
+        if name not in allowed and name.rsplit(".", 1)[-1] not in reads
+    ]
+
+
+def documented_api() -> set[str]:
+    """Every name in a package ``__all__``, every name the README's
+    ``## Library`` section imports, and ``UNREAD_API``."""
+    names = set(UNREAD_API)
+    for path in PACKAGE.rglob("__init__.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "__all__":
+                names.update(ast.literal_eval(node.value))
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    for block in re.findall(r"```python\n(.*?)```", library, re.S):
+        names.update(imported_names(ast.parse(block)))
+    return names
+
+
+def test_every_public_name_is_read():
+    """A public function, class or method that nothing in the package or
+    the benchmark reads is either documented API or a test oracle, and an
+    oracle lives in ``tests/``."""
+    package = {path: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.rglob("*.py")}
+    benchmark = [ast.parse(path.read_text(encoding="utf-8")) for path in BENCHMARK.rglob("*.py")]
+    reads = set().union(
+        *(read_names(tree, path.name == "__init__.py") for path, tree in package.items()),
+        *map(read_names, benchmark),
+    )
+    modules = {
+        ".".join(path.relative_to(PACKAGE).with_suffix("").parts): package[path]
+        for path in sorted(package)
+    }
+    unread = unread_public_names(modules, reads, documented_api())
+    assert not unread, f"public names only the tests read: {unread}"
+
+
+def test_the_check_sees_an_unread_public_name():
+    module = ast.parse(
+        "import click\n\n@click.command()\ndef cli():\n    pass\n\n"
+        "@functools.cache\ndef table():\n    pass\n\n"
+        "def used():\n    pass\n\ndef unread():\n    pass\n\n"
+        "def documented():\n    pass\n\ndef _private():\n    pass\n\n"
+        "class Model:\n    @property\n    def size(self):\n        return 1\n\n"
+        "    @classmethod\n    def load(cls):\n        return cls()\n\n"
+        "    def _helper(self):\n        pass\n"
+    )
+    init = ast.parse("from .mod import Model, unread\n")
+    reader = ast.parse("from .mod import used\n\nused()\nModel().size\n")
+    reads = read_names(init, init=True) | read_names(reader)
+    assert unread_public_names({"mod": module}, reads, {"documented"}) == [
+        "mod.unread",
+        "mod.Model.load",
+    ]
 
 
 def test_only_the_reader_imports_csv():
