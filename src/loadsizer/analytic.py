@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dispatch import combo_draws, nonzero_combo_rows
-from .errors import DataError, NumericError, load_count
+from .errors import DataError, NumericError, integer
 
 _EDGE_GUARD = 1e-6  # fraction of y_max kept away from the arcsin edge
 _ASCENT_MAX_ITER = 20000
@@ -248,11 +248,11 @@ def solve_n_load(
     so solving n = 2, 3, 4 in turn ascends each level once; the arch must
     therefore be hashable and is taken as immutable.
     """
-    n = load_count(n)
+    n = integer(n, "n")
     if not 1 <= n <= MAX_LOADS:
         raise DataError(f"n must be in 1..{MAX_LOADS}, got {n}")
-    if multistarts < 1:
-        raise DataError("multistarts must be >= 1")
+    multistarts = integer(multistarts, "multistarts", 1)
+    seed = integer(seed, "seed", 0)
     sizes, n_starts = _n_load_sizes(model, n, multistarts, seed)
     return _solution(model, sizes, n_starts, {"multistarts": n_starts, "seed": seed})
 

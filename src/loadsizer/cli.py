@@ -8,6 +8,7 @@ with the same seed and inputs reproduces them byte for byte). Exit codes:
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import time
@@ -79,7 +80,12 @@ def _load_config(ctx: click.Context, _param, path: str | None) -> str | None:
     return path
 
 
-_COMMON_OPTIONS = [
+def _options(*options):
+    """A decorator adding ``options`` to a command, in ``--help`` order."""
+    return lambda fn: functools.reduce(lambda f, option: option(f), reversed(options), fn)
+
+
+common_options = _options(
     click.option("--seed", default=42, show_default=True, help="Seed for all randomized searches."),
     click.option(
         "--output-dir",
@@ -97,13 +103,7 @@ _COMMON_OPTIONS = [
         help="key=value defaults file; explicit flags win.",
     ),
     click.option("--resample", default=900, show_default=True, help="Resample interval [s]."),
-]
-
-
-def common_options(fn):
-    for option in reversed(_COMMON_OPTIONS):
-        fn = option(fn)
-    return fn
+)
 
 
 def _ingest(path: str, resample: int) -> PowerSeries:
@@ -204,7 +204,7 @@ def _run_method(
     return result, schedule
 
 
-_KNOB_OPTIONS = [
+method_knob_options = _options(
     click.option(
         "--c-steps", default=DEFAULT_C_STEPS, show_default=True, help="ECLS line-search grid size."
     ),
@@ -221,13 +221,7 @@ _KNOB_OPTIONS = [
         "--node-limit", default=DOWNSAMPLED_NODE_LIMIT, show_default=True, help="MILP node budget."
     ),
     click.option("--multistarts", default=16, show_default=True, help="Analytic multistarts."),
-]
-
-
-def method_knob_options(fn):
-    for option in reversed(_KNOB_OPTIONS):
-        fn = option(fn)
-    return fn
+)
 
 
 @main.command()

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, load_count
+from .errors import DataError, integer
 from .results import format_floats, write_csv_columns
 from .timeseries import PowerSeries
 
@@ -41,7 +41,7 @@ class SwitchSchedule:
     n: int
 
     def __post_init__(self) -> None:
-        n = load_count(self.n)
+        n = integer(self.n, "n")
         if not 1 <= n <= _MAX_LOADS:
             raise DataError(f"need 1..{_MAX_LOADS} loads, got {n}")
         combo = np.asarray(self.combo_index, dtype=np.int64)
@@ -249,8 +249,7 @@ def combo_histogram(
     time of day counts from ``series.start``, so after a daylight-saving
     change a sample is binned one hour off its local clock time.
     """
-    if bins_per_day < 1:
-        raise DataError("bins_per_day must be >= 1")
+    bins_per_day = integer(bins_per_day, "bins_per_day", 1)
     if len(series) * series.interval_seconds < 86400:
         raise DataError("series must span at least one day")
     _matching_sizes(series, schedule)

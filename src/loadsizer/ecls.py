@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .dispatch import available_energy, capture_best, nonzero_combo_rows
-from .errors import DataError, NumericError, load_count
+from .errors import DataError, NumericError, integer
 from .results import format_floats, write_csv_columns
 from .timeseries import SortedSeries
 
@@ -48,19 +48,17 @@ def build_switch_matrix(n: int, block_length: int = DEFAULT_BLOCK_LENGTH) -> Swi
     """The switch matrix of ``n`` loads; ECLS and ICLS both size
     1..``MAX_LOADS`` (12) loads, and any other n, a non-integer or a bool
     included, raises ``DataError``."""
-    n = load_count(n)
+    n = integer(n, "n")
     if not 1 <= n <= MAX_LOADS:
         raise DataError(f"n must be in 1..{MAX_LOADS}, got {n}")
-    if block_length < 1:
-        raise DataError("block_length must be >= 1")
+    block_length = integer(block_length, "block_length", 1)
     return SwitchMatrix(n=n, block_length=block_length, distinct_rows=nonzero_combo_rows(n))
 
 
 def select_points(sorted_series: SortedSeries, count: int) -> np.ndarray:
     """``count`` values at uniform quantile positions of the sorted vector."""
     length = len(sorted_series)
-    if count < 1:
-        raise DataError("count must be >= 1")
+    count = integer(count, "count", 1)
     if count > length:
         raise DataError(f"count {count} exceeds series length {length}")
     j = np.arange(1, count + 1)
@@ -166,8 +164,7 @@ def sensitivity_table(
     block_length: int = DEFAULT_BLOCK_LENGTH,
 ) -> list[EclsResult]:
     """Full C sweep, one row per grid value (NaN utilization where invalid)."""
-    if c_steps < 2:
-        raise DataError("c_steps must be >= 2")
+    c_steps = integer(c_steps, "c_steps", 2)
     matrix = build_switch_matrix(n, block_length)
     points = select_points(sorted_series, matrix.rows_used)
     out = []

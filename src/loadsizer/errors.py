@@ -1,5 +1,5 @@
-"""Exception hierarchy shared by all loadsizer modules, and the one check
-of a load count that every route refuses a bad ``n`` with.
+"""Exception hierarchy shared by all loadsizer modules, and ``integer``, the
+one check of every integer argument: a count, length, budget, ratio or seed.
 
 Exit-code mapping used by the CLI: data/parse/domain/numeric errors exit
 with 1, usage errors with 2, partial multi-method failures with 3.
@@ -32,10 +32,13 @@ class UsageError(LoadSizerError):
     """Inconsistent options or knobs outside their documented ranges."""
 
 
-def load_count(n) -> int:
-    """A load count ``n`` as an ``int``. A bool or a non-integer (a NumPy
-    integer is accepted) raises ``DataError``; every route that takes an
-    ``n`` refuses one here."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise DataError(f"n must be an integer, got {n!r}")
-    return int(n)
+def integer(value, name: str, low: int | None = None) -> int:
+    """The argument ``name`` as an ``int``. A bool or a non-integer (a
+    NumPy integer is accepted) raises ``DataError``, and so does a value
+    below ``low``; nothing is truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DataError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if low is not None and value < low:
+        raise DataError(f"{name} must be >= {low}")
+    return value

@@ -29,7 +29,7 @@ import numpy as np
 
 from .dispatch import available_energy, capture_best
 from .ecls import build_switch_matrix, solve_kkt
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, integer
 from .timeseries import SortedSeries
 
 logger = logging.getLogger(__name__)
@@ -46,9 +46,7 @@ class SwitchTimes:
     lengths: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        lengths = tuple(map(int, self.lengths))
-        if lengths and min(lengths) < 1:
-            raise DataError(f"every block length must be >= 1, got {self.lengths}")
+        lengths = tuple(integer(length, "block length", 1) for length in self.lengths)
         object.__setattr__(self, "lengths", lengths)
 
     @property
@@ -62,7 +60,7 @@ class SwitchTimes:
 
     @classmethod
     def from_free(cls, free, total: int, n: int) -> "SwitchTimes":
-        free = tuple(map(int, free))
+        free = tuple(free)
         blocks = 2**n - 1
         if len(free) != blocks - 1:
             raise DataError(f"expected {blocks - 1} free lengths for n={n}, got {len(free)}")
@@ -370,6 +368,7 @@ class _FitContext:
     def solve(self, m: SwitchTimes, offset: int, warm: tuple[int, ...] = ()) -> IclsResult:
         """Fit fixed block lengths; ``warm`` is a working set to try first."""
         size = self.values.size
+        offset = integer(offset, "offset")
         if offset < 0 or offset >= size:
             raise DataError(f"offset must lie in [0, {size}), got {offset}")
         if m.total != size - offset:
@@ -457,8 +456,8 @@ def optimize_m(
     result: a revisited move that can win is solved again from the same
     warm set.
     """
-    if restarts < 0:
-        raise DataError("restarts must be >= 0")
+    restarts = integer(restarts, "restarts", 0)
+    seed = integer(seed, "seed", 0)
     values = sorted_series.values
     total = values.size
     context = _FitContext(values, n)

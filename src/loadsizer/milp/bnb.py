@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..dispatch import NO_LOAD_SIZE, capture_best, combo_index, combo_states
-from ..errors import DataError, NumericError
+from ..errors import DataError, NumericError, integer
 from .instance import MilpInstance
-from .relaxation import _fix_masks, solve_lp_relaxation
+from .relaxation import solve_lp_relaxation
 from .simplex import solve_lp
 
 _OBJ_TOL = 1e-9
@@ -213,7 +213,7 @@ def _greedy_fill(instance: MilpInstance, x: np.ndarray, fixes) -> np.ndarray:
     loads fixed on first, then the free ones by index, each taking what is
     left up to its size (fixed loads count 1 or 0). What is left comes from
     one subtraction per load in that order, fixed-off loads subtracting 0."""
-    fixed_on, fixed_off = _fix_masks(instance, fixes)
+    fixed_on, fixed_off = instance.fix_masks(fixes)
     order = np.argsort(~fixed_on, axis=0, kind="stable")
     draws = np.take_along_axis(np.where(fixed_off, 0.0, x[:, None]), order, axis=0)
     left = np.subtract.accumulate(np.vstack([instance.s, draws]), axis=0)
@@ -261,8 +261,7 @@ def branch_and_bound(
     """
     if not gap_tol >= 0:  # NaN included
         raise DataError("gap_tol must be >= 0")
-    if node_limit < 1:
-        raise DataError("node_limit must be >= 1")
+    node_limit = integer(node_limit, "node_limit", 1)
     n, T = instance.n, instance.horizon
     tree = _Evaluator(instance)
     incumbent = _Incumbent()

@@ -14,14 +14,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DataError, load_count
+from ..errors import DataError, integer
+from ..timeseries import profile_values
 
 
 @dataclass(frozen=True)
 class MilpInstance:
-    """A profile and its load count, checked on construction: at least one
-    sample, every value finite and >= 0, and an integer n >= 1 (a NumPy
-    integer is stored as its ``int``); anything else raises ``DataError``.
+    """A profile and its load count, checked on construction: the profile
+    by `timeseries.profile_values` and n by `errors.integer`, an integer
+    >= 1 (a NumPy integer is stored as its ``int``).
 
     The instance carries no big-M constant: with sizes capped at
     ``max(s)``, which some optimum always satisfies, every ``M >= max(s)``
@@ -32,16 +33,8 @@ class MilpInstance:
     n: int
 
     def __post_init__(self) -> None:
-        s = np.asarray(self.s, dtype=float).ravel()
-        if s.size < 1:
-            raise DataError("instance needs at least one sample")
-        if not np.isfinite(s).all() or (s < 0).any():
-            raise DataError("profile values must be finite and >= 0")
-        n = load_count(self.n)
-        if n < 1:
-            raise DataError("n must be >= 1")
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "s", profile_values(self.s))
+        object.__setattr__(self, "n", integer(self.n, "n", 1))
 
     @property
     def horizon(self) -> int:
@@ -50,6 +43,19 @@ class MilpInstance:
     @property
     def total_power(self) -> float:
         return float(self.s.sum())
+
+    def fix_masks(self, fixes) -> tuple[np.ndarray, np.ndarray]:
+        """Boolean (n, T) masks of the binaries ``fixes`` pins to 1 and to 0."""
+        n, T = self.n, self.horizon
+        fixed_on = np.zeros((n, T), dtype=bool)
+        fixed_off = np.zeros((n, T), dtype=bool)
+        for (i, t), value in (fixes or {}).items():
+            if not (0 <= i < n and 0 <= t < T):
+                raise DataError(f"fix ({i}, {t}) is outside the {n} x {T} binaries")
+            if value not in (0, 1):
+                raise DataError(f"fix ({i}, {t}) must be 0 or 1, got {value!r}")
+            (fixed_on if value == 1 else fixed_off)[i, t] = True
+        return fixed_on, fixed_off
 
 
 build_instance = MilpInstance  # its older name, which the CLI, perfbench and the README call

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DataError, NumericError
+from ..errors import NumericError
 from .instance import MilpInstance
 from .simplex import solve_lp
 
@@ -34,20 +34,6 @@ class LpRelaxation:
     objective_lb: float
     x: np.ndarray = field(repr=False)
     status: str = "optimal"  # optimal | cut_stall | cut_limit
-
-
-def _fix_masks(instance: MilpInstance, fixes) -> tuple[np.ndarray, np.ndarray]:
-    """Boolean (n, T) masks of the binaries fixed on and fixed off."""
-    n, T = instance.n, instance.horizon
-    fixed_on = np.zeros((n, T), dtype=bool)
-    fixed_off = np.zeros((n, T), dtype=bool)
-    for (i, t), value in (fixes or {}).items():
-        if not (0 <= i < n and 0 <= t < T):
-            raise DataError(f"fix ({i}, {t}) is outside the {n} x {T} binaries")
-        if value not in (0, 1):
-            raise DataError(f"fix ({i}, {t}) must be 0 or 1, got {value!r}")
-        (fixed_on if value == 1 else fixed_off)[i, t] = True
-    return fixed_on, fixed_off
 
 
 def _virgin_capture(sorted_s: np.ndarray, prefix: np.ndarray, w: float) -> float:
@@ -70,7 +56,7 @@ def solve_lp_relaxation(instance: MilpInstance, fixes=None) -> LpRelaxation:
     the cut loop converges, which it does for all but pathological inputs;
     otherwise it is a weaker valid bound and the status says so).
     """
-    fixed_on, fixed_off = _fix_masks(instance, fixes)
+    fixed_on, fixed_off = instance.fix_masks(fixes)
     n, T = instance.n, instance.horizon
     s = instance.s
     touched = np.flatnonzero(fixed_on.any(axis=0) | fixed_off.any(axis=0))

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..ecls import dispatch_su
+from ..errors import integer
 from ..timeseries import SortedSeries, downsample_uniform
 from .bnb import branch_and_bound
 from .instance import build_instance
@@ -39,14 +40,15 @@ def downsample_sweep(
     """
     rows = []
     for ratio in ratios:
-        reduced = downsample_uniform(sorted_series, int(ratio))
+        ratio = integer(ratio, "ratio", 1)
+        reduced = downsample_uniform(sorted_series, ratio)
         t0 = time.perf_counter()
         instance = build_instance(reduced.values, n)
         solution = branch_and_bound(instance, node_limit=node_limit)
         runtime = time.perf_counter() - t0
         rows.append(
             SweepRow(
-                ratio=int(ratio),
+                ratio=ratio,
                 solar_utilization=dispatch_su(sorted_series.values, solution.x),
                 runtime_seconds=runtime,
                 nodes_explored=solution.nodes_explored,

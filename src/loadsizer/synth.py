@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import integer
 from .results import write_csv_columns
 from .timeseries import PowerSeries
 
@@ -83,7 +84,7 @@ def synth_year_values(seed: int = 42) -> np.ndarray:
     or overcast (strongly attenuated arch). The mix leans clear so that the
     sizing trend with load count resembles a sunny site.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(integer(seed, "seed", 0))
     out = np.zeros(DAYS_PER_YEAR * SAMPLES_PER_DAY)
     kinds = rng.choice(
         3,

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, FitError, ParseError
+from .errors import DataError, FitError, ParseError, integer
 from .results import CSV_BLOCK_ROWS
 
 logger = logging.getLogger(__name__)
@@ -26,6 +26,16 @@ logger = logging.getLogger(__name__)
 _EPS_NORM = 1e-12
 
 _MICROSECOND = timedelta(microseconds=1)
+
+
+def profile_values(values) -> np.ndarray:
+    """The rule of every profile: 1-D, at least one sample, each finite and >= 0."""
+    v = np.asarray(values, dtype=float)
+    if v.ndim != 1 or v.size == 0:
+        raise DataError("values must be a 1-D array with at least one sample")
+    if not np.isfinite(v).all() or (v < 0).any():
+        raise DataError("values must be finite and >= 0")
+    return v
 
 
 @dataclass(frozen=True)
@@ -44,12 +54,9 @@ class PowerSeries:
     normalized: bool = False
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size == 0:
-            raise DataError("values must be a non-empty 1-D array")
-        if not np.isfinite(v).all() or (v < 0).any():
-            raise DataError("values must be finite and >= 0")
-        if int(self.interval_seconds) <= 0:
+        v = profile_values(self.values)
+        interval = integer(self.interval_seconds, "interval_seconds")
+        if interval <= 0:
             raise DataError("interval_seconds must be positive")
         if self.s_max <= 0:
             raise DataError("s_max must be positive")
@@ -57,7 +64,7 @@ class PowerSeries:
             if v.max() > 1 + _EPS_NORM or abs(v.max() - 1.0) > _EPS_NORM:
                 raise DataError("normalized series must have max 1 within 1e-12")
         object.__setattr__(self, "values", v)
-        object.__setattr__(self, "interval_seconds", int(self.interval_seconds))
+        object.__setattr__(self, "interval_seconds", interval)
 
     def __len__(self) -> int:
         return self.values.size
@@ -82,14 +89,13 @@ class PowerSeries:
 
 @dataclass(frozen=True)
 class SortedSeries:
-    """Normalized power values rearranged in non-decreasing order."""
+    """Power values in non-decreasing order. Construction checks the profile
+    rule (`profile_values`) and the order, not that the values are normalized."""
 
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size == 0:
-            raise DataError("sorted values must be a non-empty 1-D array")
+        v = profile_values(self.values)
         if (np.diff(v) < 0).any():
             raise DataError("values must be non-decreasing")
         object.__setattr__(self, "values", v)
@@ -184,6 +190,7 @@ def load_series(path: str | Path, resample_seconds: int) -> PowerSeries:
     sampling interval.
     """
     path = Path(path)
+    resample_seconds = integer(resample_seconds, "resample_seconds")
     if resample_seconds <= 0:
         raise DataError("resample_seconds must be positive")
     with open(path, newline="", encoding="utf-8") as fh:
@@ -267,9 +274,7 @@ def sort_ascending(series: PowerSeries, remove_zeros: bool = True) -> SortedSeri
 def downsample_uniform(sorted_series: SortedSeries, ratio: int) -> SortedSeries:
     """Take every ``ratio``-th element of the sorted vector, starting at
     index ``ratio - 1`` (deterministic stride)."""
-    r = int(ratio)
-    if r < 1:
-        raise DataError("ratio must be >= 1")
+    r = integer(ratio, "ratio", 1)
     if r > len(sorted_series):
         raise DataError(f"ratio {r} exceeds series length {len(sorted_series)}")
     return SortedSeries(values=sorted_series.values[r - 1 :: r])
@@ -323,20 +328,21 @@ class ClearSkyModel:
         """Clear-day power at time ``t`` (samples from peak), clamped at 0."""
         return np.maximum(self.a * np.sin(self.b * np.asarray(t, dtype=float) + self.c), 0.0)
 
-    def half_width(self, y):
-        """Positive half-width of the arch at level ``y`` (level 0 allowed)."""
+    def _levels(self, y) -> np.ndarray:
+        """``y`` as a float array, refused unless every level is in [0, y_max)."""
         y = np.asarray(y, dtype=float)
         if (y < 0).any() or (y >= self.y_max).any():
             raise DataError(f"level outside [0, {self.y_max}): {y}")
-        out = (self.c - np.arcsin(self.beta * y)) / self.b
+        return y
+
+    def half_width(self, y):
+        """Positive half-width of the arch at level ``y`` (level 0 allowed)."""
+        out = (self.c - np.arcsin(self.beta * self._levels(y))) / self.b
         return float(out) if out.ndim == 0 else out
 
     def half_width_slope(self, y):
         """d/dy of :meth:`half_width` (negative: higher levels are narrower)."""
-        y = np.asarray(y, dtype=float)
-        if (y < 0).any() or (y >= self.y_max).any():
-            raise DataError(f"level outside [0, {self.y_max}): {y}")
-        out = -self.alpha * self.beta / np.sqrt(1.0 - (self.beta * y) ** 2)
+        out = -self.alpha * self.beta / np.sqrt(1.0 - (self.beta * self._levels(y)) ** 2)
         return float(out) if out.ndim == 0 else out
 
     def to_json(self) -> str:
@@ -356,20 +362,23 @@ class ClearSkyModel:
         return json.dumps(keys, indent=2, sort_keys=True)
 
 
+def _inside(model: ClearSkyModel, y: float) -> float:
+    """``y``, refused unless it lies in (0, y_max), where the inverse is defined."""
+    if not 0 < y < model.y_max:
+        raise DataError(f"y must lie in (0, {model.y_max}), got {y}")
+    return y
+
+
 def model_inverse(model: ClearSkyModel, y: float) -> float:
     """Negative-branch inverse of the trig arch: the (negative) time at which
     the rising clear-day curve crosses level ``y``, the arch's half-width
     there negated."""
-    if not 0 < y < model.y_max:
-        raise DataError(f"y must lie in (0, {model.y_max}), got {y}")
-    return -model.half_width(y)
+    return -model.half_width(_inside(model, y))
 
 
 def model_inverse_derivative(model: ClearSkyModel, y: float) -> float:
     """d/dy of :func:`model_inverse`: the half-width's slope negated."""
-    if not 0 < y < model.y_max:
-        raise DataError(f"y must lie in (0, {model.y_max}), got {y}")
-    return -model.half_width_slope(y)
+    return -model.half_width_slope(_inside(model, y))
 
 
 def _daylight_window(values: np.ndarray) -> tuple[int, int]:

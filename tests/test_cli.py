@@ -647,6 +647,34 @@ def test_size_icls_refuses_negative_restarts(small_csv, tmp_path):
     assert "Traceback" not in run.stderr
 
 
+def test_size_icls_refuses_a_negative_seed(small_csv, tmp_path):
+    run = subprocess.run(
+        [sys.executable, "-m", "loadsizer.cli", "size", "--method", "icls", "--n", "2",
+         "--seed", "-1", "--output-dir", str(tmp_path), str(small_csv)],
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 1, run.stderr
+    assert "error: seed must be >= 0" in run.stderr
+    assert "Traceback" not in run.stderr
+
+
+def test_compare_fails_only_the_seeded_route_on_a_negative_seed(runner, small_csv, tmp_path):
+    result = runner.invoke(
+        main,
+        [
+            "compare", "--n-range", "2-2", str(small_csv), "--output-dir", str(tmp_path),
+            "--block-length", "4", "--ratio", "4", "--seed", "-1",
+        ],
+    )
+    assert result.exit_code == 3, result.output
+    assert "icls n=2: FAILED (seed must be >= 0)" in result.output
+    rows = list(csv.DictReader(open(tmp_path / "comparison.csv")))
+    assert {r["method"] for r in rows} == {"ecls", "milp"}
+    rows = list(csv.DictReader(open(tmp_path / "normalized_su.csv")))
+    assert {r["method"] for r in rows} == {"ecls", "milp"}
+
+
 def test_size_milp_refuses_more_than_twenty_loads(small_csv, tmp_path):
     run = subprocess.run(
         [sys.executable, "-m", "loadsizer.cli", "size", "--method", "milp", "--n", "21",

@@ -2,7 +2,8 @@
 private top-level name goes unreferenced, no public name outside the
 documented API is read by the tests alone, only the reader imports the
 ``csv`` module, the MILP package keeps no state between calls, each
-refusal has one home and no draw is summed as a matrix product."""
+refusal has one home, no draw is summed as a matrix product, no module
+imports another's private name and no argument is truncated by ``int``."""
 
 from __future__ import annotations
 
@@ -417,4 +418,108 @@ def test_the_check_sees_a_matrix_draw():
         "2 sol.u @ x",
         "4 states @ sizes",
         "5 nonzero_combo_rows(n) @ sizes",
+    ]
+
+
+def private_imports(tree: ast.Module) -> list[str]:
+    """Each ``_``-prefixed (not dunder) name a ``from ... import`` takes
+    from another module, as ``line module.name``."""
+    return [
+        f"{node.lineno} {'.' * node.level}{node.module or ''}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+
+
+def test_no_module_imports_a_private_name():
+    """A private name belongs to its module; a rule two modules read is
+    public, in the module that owns it."""
+    imports = {
+        str(path.relative_to(PACKAGE)): found
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if (found := private_imports(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert not imports, f"private names imported from another module: {imports}"
+
+
+def test_the_check_sees_a_private_import():
+    tree = ast.parse(
+        "from __future__ import annotations\nfrom . import __version__\n"
+        "from .relaxation import _fix_masks, solve_lp_relaxation\n"
+        "from ..errors import DataError\nfrom os import _exit as leave\nimport _thread\n"
+    )
+    assert private_imports(tree) == ["3 .relaxation._fix_masks", "5 os._exit"]
+
+
+def truncations(tree: ast.Module) -> list[str]:
+    """Each ``int(p)`` and ``map(int, p)`` where ``p`` is a parameter of
+    the function it sits in (one annotated ``bool`` aside) or a ``self``
+    field, as ``Class.function: call``."""
+    found = []
+
+    def visit(node: ast.AST, scope: list[str], params: set[str]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                own = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+                names = {
+                    arg.arg
+                    for arg in own
+                    if arg is not None
+                    and not (arg.annotation and ast.unparse(arg.annotation).strip("'\"") == "bool")
+                }
+                visit(child, [*scope, child.name], params | names)
+                continue
+            if isinstance(child, ast.ClassDef):
+                visit(child, [*scope, child.name], set())
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name):
+                args = child.args
+                target = None
+                if child.func.id == "int" and len(args) == 1:
+                    target = args[0]
+                elif child.func.id == "map" and len(args) == 2 and short_name(args[0]) == "int":
+                    target = args[1]
+                if (isinstance(target, ast.Name) and target.id in params) or (
+                    isinstance(target, ast.Attribute) and getattr(target.value, "id", None) == "self"
+                ):
+                    found.append(f"{'.'.join(scope)}: {ast.unparse(child)}")
+            visit(child, scope, params)
+
+    visit(tree, [], set())
+    return found
+
+
+def test_no_argument_is_truncated_to_an_int():
+    """``int(p)`` turns 2.5 into 2 and True into 1: an integer argument is
+    checked by ``errors.integer``, which refuses both and truncates
+    nothing. ``errors`` itself is not read."""
+    found = {
+        str(path.relative_to(PACKAGE)): sites
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path.name != "errors.py"
+        and (sites := truncations(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert not found, f"arguments truncated by int(): {found}"
+
+
+def test_the_check_sees_a_truncation():
+    tree = ast.parse(
+        "def f(ratio, rows, flag: bool, *rest):\n"
+        "    r = int(ratio)\n    k = int(len(rows))\n    w = int(flag)\n    m = int(rest)\n"
+        "    for step in rows:\n        int(step)\n"
+        "    def inner(size):\n        return int(size) + int(ratio)\n"
+        "\n\nclass Times:\n    def __post_init__(self):\n"
+        "        lengths = tuple(map(int, self.lengths))\n        n = int(self.n[0])\n"
+        "    def free(self, fixed, other):\n        return map(int, fixed), map(str, other)\n"
+    )
+    assert truncations(tree) == [
+        "f: int(ratio)",
+        "f: int(rest)",
+        "f.inner: int(size)",
+        "f.inner: int(ratio)",
+        "Times.__post_init__: map(int, self.lengths)",
+        "Times.free: map(int, fixed)",
     ]

@@ -26,6 +26,7 @@ from loadsizer import (
     sort_ascending,
 )
 from loadsizer.results import CSV_BLOCK_ROWS
+from loadsizer.timeseries import SortedSeries
 from loadsizer.synth import REFERENCE_A, REFERENCE_B, REFERENCE_C, trig_day_values
 
 
@@ -365,6 +366,23 @@ def test_normalize_all_zero_is_error():
             interval_seconds=900,
             s_max=0.0,
         )
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ([0.1, np.nan, 0.5], "values must be finite and >= 0"),
+        ([0.1, 0.5, np.inf], "values must be finite and >= 0"),
+        ([-0.1, 0.5], "values must be finite and >= 0"),
+        ([[0.1, 0.5], [0.6, 0.9]], "values must be a 1-D array with at least one sample"),
+    ],
+    ids=["nan", "inf", "negative", "2-D"],
+)
+def test_sorted_series_refuses_a_value_no_profile_holds(values, message):
+    """A sorted series holds a profile, so the profile rule refuses it; a NaN
+    passes the order check (every comparison with it is false)."""
+    with pytest.raises(DataError, match=f"^{message}$"):
+        SortedSeries(values=np.array(values))
 
 
 def test_sort_ascending_basic():
